@@ -17,9 +17,8 @@ runs while keeping the tenant count at 100.  Reported and persisted to
 * end-to-end ingest throughput (QPS over admission + every flush);
 * admission latency — p50 is the lock-and-enqueue cost; the tail
   (p99/max) is an admission that paid for an inline watermark flush;
-* time-to-first-report — the front door runs in pipelined streaming
-  mode (``ingest_pipeline=True``, ``ingest_segment_max=64``), so a
-  flush's early segments resolve their tickets while later segments
+* time-to-first-report — the front door runs in streaming mode
+  (``ingest_segment_max=64``), so a flush's early segments resolve their tickets while later segments
   still execute; per flush, the gap between the flush-tripping
   admission and the *first* resolved ticket versus the *last* one
   (p50/p99 of both).  Streaming must put the first report strictly
@@ -118,9 +117,7 @@ def build_system() -> tuple[MidasSystem, list[str]]:
         max_window=24,
         ingest_batch_max=INGEST_BATCH_MAX,
         ingest_queue_depth=4 * INGEST_BATCH_MAX,
-        # Pipelined streaming mode: tickets resolve per 64-item segment
-        # and the next segment's safe prefits overlap with execution.
-        ingest_pipeline=True,
+        # Streaming mode: tickets resolve per 64-item segment.
         ingest_segment_max=INGEST_SEGMENT_MAX,
     )
     midas = MidasSystem(patient_count=PATIENTS, seed=11, config=config)
@@ -323,7 +320,6 @@ def write_json(report: GatewayReport) -> None:
         "envelopes": report.envelopes,
         "ingest_batch_max": INGEST_BATCH_MAX,
         "ingest_segment_max": INGEST_SEGMENT_MAX,
-        "ingest_pipeline": True,
         "host_cpu_count": os.cpu_count(),
         "ingest_seconds": round(report.ingest_seconds, 3),
         "ingest_qps": round(report.ingest_qps, 1),

@@ -107,9 +107,8 @@ def run_demo(
     if ingest_batch is not None:
         overrides["ingest_batch_max"] = ingest_batch
         # Streaming demo mode: tickets resolve in quarter-watermark
-        # segments, with the next segment's safe prefits overlapped.
+        # segments.
         overrides["ingest_segment_max"] = max(1, ingest_batch // 4)
-        overrides["ingest_pipeline"] = True
     if ingest_flush_ms is not None:
         overrides["ingest_flush_ms"] = ingest_flush_ms
     config = replace(

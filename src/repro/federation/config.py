@@ -108,13 +108,6 @@ class FederationConfig:
         mean earlier first reports; the bitwise-equivalence contract is
         unaffected because subdividing a fit-coalesced segment never
         changes what a prefit sees.
-    ingest_pipeline:
-        When ``True``, a flush prefits the next segment's untouched
-        stale templates on a helper thread while the current segment
-        executes (``refresh_batch`` overlapped with execution) — the
-        fits move off the critical path, executions stay in admission
-        order, and the oracle contract holds.  ``False`` (the default)
-        keeps every fit synchronous at its segment boundary.
     rebalance:
         Elastic-topology policy knobs
         (:class:`~repro.serving.topology.RebalanceConfig`) for the
@@ -166,7 +159,6 @@ class FederationConfig:
     ingest_flush_ms: float | None = None
     ingest_overflow: str = "reject"
     ingest_segment_max: int | None = None
-    ingest_pipeline: bool = False
     rebalance: RebalanceConfig | None = None
     governance: GovernanceConfig | None = None
     durability: DurabilityConfig | None = None
@@ -259,11 +251,6 @@ class FederationConfig:
             raise GatewayConfigError(
                 f"ingest_segment_max must be >= 1 (or None), "
                 f"got {self.ingest_segment_max}"
-            )
-        if not isinstance(self.ingest_pipeline, bool):
-            raise GatewayConfigError(
-                f"ingest_pipeline must be True or False, "
-                f"got {self.ingest_pipeline!r}"
             )
         if self.rebalance is not None:
             # Deferred import, same reason as the registry lookup above.

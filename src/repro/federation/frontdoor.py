@@ -76,19 +76,12 @@ tasks admit in creation order (FIFO through one thread) and the drain
 queues behind the last admission.  The sync path never touches these
 threads — flushes still run on the admitting/draining caller.
 
-Pipelined flush
----------------
-
-With ``FederationConfig(ingest_pipeline=True)``, while segment *k*
-executes, a helper thread prefits segment *k+1*'s stale templates —
-but only the *safe subset*: templates no item of segment *k* touches,
-whose histories therefore cannot change while *k* runs.  The remainder
-fit synchronously at the boundary, exactly as before.  Fits never draw
-simulator noise and executions stay in admission order, so the overlap
-is bitwise-invisible; it only hides fit latency behind execution time.
-
 Backpressure
 ------------
+
+Admission checks each envelope's template and parameters first, so a
+malformed request fails with a typed ``EnvelopeError`` before it takes
+a tick or a ticket and can never abort its neighbours' flush.
 
 Admission never silently drops.  At a full queue, ``"reject"`` mode
 raises a typed :class:`~repro.federation.errors.IngestOverflowError`
@@ -270,14 +263,12 @@ class FrontDoor:
     comes from the gateway's
     :class:`~repro.federation.config.FederationConfig`
     (``ingest_queue_depth``, ``ingest_batch_max``, ``ingest_flush_ms``,
-    ``ingest_overflow``, ``ingest_pipeline``, ``ingest_segment_max``).
-    Flushes run on the calling thread — the admission that trips a
-    watermark, the blocked admission helping itself, or the explicit
-    :meth:`drain` — never on a hidden background thread, so tests and
-    replays stay deterministic.  The only helper threads are opt-in: one
-    admission thread for the asyncio surface and one prefit thread for
-    ``ingest_pipeline=True``, both lazily created and both torn down by
-    :meth:`close`.
+    ``ingest_overflow``, ``ingest_segment_max``).  Flushes run on the
+    calling thread — the admission that trips a watermark, the blocked
+    admission helping itself, or the explicit :meth:`drain` — never on a
+    hidden background thread, so tests and replays stay deterministic.
+    The only helper thread is the asyncio surface's admission thread,
+    lazily created and torn down by :meth:`close`.
     """
 
     def __init__(self, gateway):
@@ -287,7 +278,6 @@ class FrontDoor:
         self.batch_max: int = config.ingest_batch_max
         self.flush_ms: float | None = config.ingest_flush_ms
         self.overflow: str = config.ingest_overflow
-        self.pipeline: bool = config.ingest_pipeline
         self.segment_max: int | None = config.ingest_segment_max
         self._lock = threading.Lock()
         self._space = threading.Condition(self._lock)
@@ -313,7 +303,6 @@ class FrontDoor:
         self._segments_run = 0
         self._streamed_items = 0
         self._admit_pool: ThreadPoolExecutor | None = None
-        self._prefit_pool: ThreadPoolExecutor | None = None
 
     # Admission --------------------------------------------------------------
 
@@ -347,7 +336,7 @@ class FrontDoor:
         n = len(entries)
         template = entries[0][1].template
         for _kind, request in entries:
-            self._gateway._require_template(request.template)
+            self._gateway._require_envelope(request.template, request.params)
         blocked_counted = False
         tickets = None
         while True:
@@ -595,18 +584,16 @@ class FrontDoor:
         Closing first means a racing ``ingest()`` either lands before
         the close (and its item is in the returned batch) or fails with
         the typed closed error — never admitted-then-dropped.  The
-        admission and prefit helper threads (if they were ever created)
-        are shut down after the final flush.
+        admission thread (if it was ever created) is shut down after the
+        final flush.
         """
         with self._space:
             self._closed = True
             self._space.notify_all()
         batch = self.drain()
-        for pool in (self._admit_pool, self._prefit_pool):
-            if pool is not None:
-                pool.shutdown(wait=True)
+        if self._admit_pool is not None:
+            self._admit_pool.shutdown(wait=True)
         self._admit_pool = None
-        self._prefit_pool = None
         return batch
 
     def _run_flush(self, items: list[_Item], trigger: str, seq: int) -> IngestBatch:
@@ -616,45 +603,17 @@ class FrontDoor:
         fit_rounds = 0
         segments_done = 0
         resolved_until = 0
-        bounds = self._segments(items)
-        overlap = None  # in-flight prefit of the next segment's safe subset
-        prefit_early: set[str] = set()
         completed = False
         try:
-            for index, (start, end) in enumerate(bounds):
+            for start, end in self._segments(items):
                 segment = items[start:end]
-                if overlap is not None:
-                    # Harvest the previous segment's overlapped prefit;
-                    # an infrastructure failure surfaces here, exactly
-                    # where the synchronous prefit would have raised.
-                    if overlap.result():
-                        fit_rounds += 1
-                    overlap = None
                 keys: list[str] = []
                 for item in segment:
                     key = item.request.template
-                    if item.kind == "submit" and key not in prefit_early and key not in keys:
+                    if item.kind == "submit" and key not in keys:
                         keys.append(key)
                 if keys and gateway._prefit_for_flush(keys):
                     fit_rounds += 1
-                prefit_early = set()
-                if self.pipeline and index + 1 < len(bounds):
-                    # While this segment executes, prefit the *safe
-                    # subset* of the next one: submit templates no item
-                    # of this segment touches, so their histories are
-                    # frozen for the duration (see module docs).
-                    touched = {item.request.template for item in segment}
-                    next_start, next_end = bounds[index + 1]
-                    safe: list[str] = []
-                    for item in items[next_start:next_end]:
-                        key = item.request.template
-                        if item.kind == "submit" and key not in touched and key not in safe:
-                            safe.append(key)
-                    if safe:
-                        prefit_early = set(safe)
-                        overlap = self._prefit_executor().submit(
-                            gateway._prefit_for_flush, safe
-                        )
                 for offset, item in enumerate(segment, start=start):
                     request = replace(item.request, tick=item.tick)
                     try:
@@ -695,14 +654,6 @@ class FrontDoor:
                     errors[offset] = aborted
             raise
         finally:
-            if overlap is not None:
-                # Abort path with a prefit still in flight: reap it so
-                # no helper-thread RPC races the teardown that usually
-                # follows an aborted flush.
-                try:
-                    overlap.result()
-                except BaseException:
-                    pass
             batch = self._finalize(
                 items, trigger, seq, reports, errors,
                 fit_rounds, segments_done, resolved_until,
@@ -731,15 +682,6 @@ class FrontDoor:
         # rebalance topology record make the same sync.
         gateway._durability_sync()
         return batch
-
-    def _prefit_executor(self) -> ThreadPoolExecutor:
-        # Only the (single) flush thread reaches this, so no lock: one
-        # helper thread total, created on first pipelined flush.
-        if self._prefit_pool is None:
-            self._prefit_pool = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="frontdoor-prefit"
-            )
-        return self._prefit_pool
 
     def _segments(self, items: list[_Item]) -> list[tuple[int, int]]:
         """Cut the flush into fit-coalescible runs (see module docs).

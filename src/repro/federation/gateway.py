@@ -57,15 +57,17 @@ from repro.governance.policy import PlanConstraint, PolicyEngine
 from repro.federation.frontdoor import FrontDoor, IngestTicket
 from repro.federation.registry import create_serving, create_strategy
 from repro.federation.session import GatewaySession
-from repro.common.errors import EstimationError
+from repro.common.errors import EstimationError, ReproError, ValidationError
 from repro.core.cache import CacheStats
 from repro.core.history import ExecutionHistory
 from repro.ires.deployment import Deployment
 from repro.ires.enumerator import QepCandidate, QepEnumerator
 from repro.ires.executor import Executor
+from repro.ires.interface import QueryRequest
 from repro.ires.modelling import EstimationStrategy, FittedCostModel
 from repro.ires.optimizer import MultiObjectiveOptimizer, OptimizerConfig
 from repro.ires.platform import IReSPlatform
+from repro.ires.policy import UserPolicy
 from repro.plans.catalog import Catalog
 from repro.plans.statistics import TableStats
 from repro.serving.service import ServiceStats
@@ -243,6 +245,16 @@ class FederationGateway:
                 raise UnknownTemplateError(
                     f"unknown template {key!r}; registered: {known}", template=key
                 )
+
+    def _require_envelope(self, key: str, params) -> None:
+        """Admission check of one request: a registered template and
+        parameters that fit its placeholders, else a typed error before
+        the request touches any state."""
+        self._require_template(key)
+        try:
+            self.engine.template(key).check_params(params)
+        except ValidationError as error:
+            raise EnvelopeError(str(error), template=key) from error
 
     def history(self, key: str) -> ExecutionHistory:
         self._require_template(key)
@@ -519,6 +531,45 @@ class FederationGateway:
             ),
         )
 
+    # Preparation ----------------------------------------------------------
+
+    def _prepare(
+        self,
+        key: str,
+        params: dict,
+        principal: Principal | None,
+        constraint: PlanConstraint | None,
+        *,
+        policy: UserPolicy | None = None,
+        stats: dict[str, TableStats] | None = None,
+        candidate: QepCandidate | None = None,
+    ) -> tuple[QueryRequest, list[QepCandidate]]:
+        """The one preparation path: the prepared request and its
+        policy-filtered QEP space — or, for an explicitly supplied
+        ``candidate``, that candidate alone once the policy admits it.
+        A pure function of parameters, statistics and constraint, run
+        before a request takes a tick; a parse or bind failure is an
+        ``EnvelopeError``."""
+        try:
+            request = self.engine.prepare(key, params, policy)
+        except ReproError as error:
+            raise EnvelopeError(
+                f"cannot prepare {key!r} with {params!r}: {error}", template=key
+            ) from error
+        if candidate is None:
+            space = self.engine.enumerate(key, request, stats, constraint)
+            return request, self._checked_space(key, principal, constraint, space)
+        if constraint is not None and not constraint.permits(candidate.execution.site):
+            # An explicit QEP bypasses the filtered enumeration.
+            self._deny(
+                key,
+                principal,
+                constraint.rule_ids,
+                f"candidate executes at {candidate.execution.site!r}, which "
+                f"policy forbids for this principal",
+            )
+        return request, [candidate]
+
     # Profiling ------------------------------------------------------------
 
     def candidates(
@@ -535,12 +586,9 @@ class FederationGateway:
         execute (an inadmissible query raises
         :class:`~repro.federation.errors.PolicyViolationError`).
         """
-        self._require_template(key)
+        self._require_envelope(key, params)
         constraint = self._constraint_for(key, principal)
-        _request, candidates = self.engine.candidates_for(
-            key, params, stats=stats, constraint=constraint
-        )
-        return self._checked_space(key, principal, constraint, candidates)
+        return self._prepare(key, params, principal, constraint, stats=stats)[1]
 
     def observe(
         self,
@@ -554,51 +602,39 @@ class FederationGateway:
         The QEP comes from (in priority order) the explicit ``candidate``
         argument, the envelope's ``candidate_index``, or a deterministic
         rotation through the enumerated space (exploration).  ``stats``
-        overrides table statistics for sampled-input profiling.
+        overrides table statistics for sampled-input profiling.  Every
+        rejection happens before a tick or rotation slot is taken.
         """
         key = request.template
-        self._require_template(key)
+        self._require_envelope(key, request.params)
         if self._durability is not None:
             self._durability.ensure_ready()
         constraint = self._constraint_for(key, request.principal)
-        if (
-            constraint is not None
-            and candidate is not None
-            and not constraint.permits(candidate.execution.site)
-        ):
-            # An explicitly supplied QEP bypasses the filtered
-            # enumeration, so it is checked here instead.
-            self._deny(
-                key,
-                request.principal,
-                constraint.rule_ids,
-                f"candidate executes at {candidate.execution.site!r}, which "
-                f"policy forbids for this principal",
-            )
+        query, space = self._prepare(
+            key,
+            request.params,
+            request.principal,
+            constraint,
+            stats=stats,
+            candidate=candidate,
+        )
+        if candidate is None and request.candidate_index is not None:
+            if request.candidate_index >= len(space):
+                raise EnvelopeError(
+                    f"candidate_index {request.candidate_index} out of range "
+                    f"for a {len(space)}-candidate QEP space",
+                    template=key,
+                )
+            candidate = space[request.candidate_index]
         rotation = None
         with self._tick_scope(key, request.tick):
             tick = self._resolve_tick(request.tick)
             if candidate is None:
-                _request, space = self.engine.candidates_for(
-                    key, request.params, stats=stats, constraint=constraint
-                )
-                self._checked_space(key, request.principal, constraint, space)
-                if request.candidate_index is not None:
-                    if request.candidate_index >= len(space):
-                        raise EnvelopeError(
-                            f"candidate_index {request.candidate_index} out of range "
-                            f"for a {len(space)}-candidate QEP space",
-                            template=key,
-                        )
-                    candidate = space[request.candidate_index]
-                else:
-                    with self._lock:
-                        index = self._rotation.get(key, 0)
-                        rotation = self._rotation[key] = index + 1
-                    candidate = space[index % len(space)]
-            execution = self.engine.observe(
-                key, request.params, candidate, tick, stats=stats
-            )
+                with self._lock:
+                    index = self._rotation.get(key, 0)
+                    rotation = self._rotation[key] = index + 1
+                candidate = space[index % len(space)]
+            execution = self.engine.observe(key, query, candidate, tick, stats=stats)
             history = self.engine.history(key)
             size, version = history.size, history.version
             if self._durability is not None:
@@ -802,57 +838,29 @@ class FederationGateway:
         self,
         request: SubmitRequest,
         *,
-        cost_model: FittedCostModel | None = None,
-        enumerations: dict | None = None,
-        pinned: bool = False,
+        session: GatewaySession | None = None,
         execute: bool = True,
     ) -> SubmissionReport:
         key = request.template
-        self._require_template(key)
+        self._require_envelope(key, request.params)
         if self._durability is not None:
             self._durability.ensure_ready()
         constraint = self._constraint_for(key, request.principal)
-        engine = self.engine
-        template = engine.template(key)
-        sql = template.render(request.params)
-        candidates = features_matrix = None
-        if enumerations is None:
-            query_request = engine.interface.receive(sql, request.policy)
-            if constraint is not None:
-                # Constrained requests pre-enumerate here (the engine room
-                # stays governance-blind); the permissive path leaves
-                # enumeration to submit_request, exactly as before.
-                candidates = engine.enumerator.enumerate(
-                    key,
-                    query_request.plan,
-                    engine.stats,
-                    template.tables,
-                    constraint=constraint,
-                )
-                self._checked_space(key, request.principal, constraint, candidates)
+        if session is None:
+            query_request, candidates = self._prepare(
+                key,
+                request.params,
+                request.principal,
+                constraint,
+                policy=request.policy,
+            )
+            cost_model = features_matrix = None
         else:
-            # Cache key carries the constraint signature: one pinned
-            # session can serve principals with different admissible
-            # spaces without ever leaking a filtered space between them.
-            cache_key = (sql, None if constraint is None else constraint.signature)
-            cached = enumerations.get(cache_key)
-            if cached is None:
-                query_request = engine.interface.receive(sql, request.policy)
-                candidates = engine.enumerator.enumerate(
-                    key,
-                    query_request.plan,
-                    engine.stats,
-                    template.tables,
-                    constraint=constraint,
-                )
-                self._checked_space(key, request.principal, constraint, candidates)
-                features_matrix = MultiObjectiveOptimizer.candidate_matrix(
-                    candidates, cost_model
-                )
-                enumerations[cache_key] = (query_request, candidates, features_matrix)
-            else:
-                base_request, candidates, features_matrix = cached
-                query_request = replace(base_request, policy=request.policy)
+            query_request, candidates, features_matrix = session._prepared(
+                request, constraint
+            )
+            cost_model = session.model
+        engine = self.engine
         with self._tick_scope(key, request.tick):
             tick = self._resolve_tick(request.tick)
             try:
@@ -916,7 +924,7 @@ class FederationGateway:
             measured_costs=measured,
             errors=errors,
             cost_model=result.cost_model,
-            pinned=pinned,
+            pinned=session is not None,
             result=result,
             moqp_algorithm=result.moqp_algorithm,
             moqp_exact_fallback=result.moqp_exact_fallback,

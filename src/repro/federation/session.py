@@ -20,12 +20,14 @@ enumeration total.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from repro.federation.envelopes import BatchReport, SubmitRequest, SubmissionReport
 from repro.federation.errors import EnvelopeError, SessionStateError
+from repro.governance.policy import PlanConstraint
 from repro.ires.enumerator import QepCandidate
 from repro.ires.interface import QueryRequest
 from repro.ires.modelling import FittedCostModel
@@ -54,17 +56,13 @@ class GatewaySession:
         self._closed = False
         self._model: FittedCostModel | None = None
         self._pinned_version: int | None = None
-        #: (rendered SQL, governance-constraint signature) -> (request,
-        #: candidates, features matrix); the per-batch enumeration cache
-        #: (the pinned model fixes the feature order, so the matrix is
-        #: reusable too).  The constraint signature keys the cache
-        #: because principals may differ across one batch: two callers
-        #: with different admissible spaces never share an entry (the
-        #: signature is None for unconstrained requests).
-        self._enumerations: dict[
-            tuple[str, tuple | None],
-            tuple[QueryRequest, list[QepCandidate], np.ndarray],
-        ] = {}
+        #: (sorted parameters, governance-constraint signature) ->
+        #: (request, candidates, features matrix): the per-batch
+        #: enumeration cache.  The parameters fix the SQL, so a hit
+        #: neither renders nor parses; the pinned model fixes the
+        #: feature order, so the matrix is reusable; the signature keeps
+        #: principals with different admissible spaces apart.
+        self._enumerations: dict[tuple, tuple] = {}
         self.repin()
 
     # Lifecycle ------------------------------------------------------------
@@ -141,13 +139,24 @@ class GatewaySession:
                 template=request.template,
                 phase="session",
             )
-        return self._gateway._submit(
-            request,
-            cost_model=self._model,
-            enumerations=self._enumerations,
-            pinned=True,
-            execute=execute,
-        )
+        return self._gateway._submit(request, session=self, execute=execute)
+
+    def _prepared(
+        self, request: SubmitRequest, constraint: PlanConstraint | None
+    ) -> tuple[QueryRequest, list[QepCandidate], np.ndarray]:
+        """The request's prepared query, QEP space and feature matrix,
+        from the enumeration cache or, on a miss, from the gateway's one
+        preparation path."""
+        signature = None if constraint is None else constraint.signature
+        cache_key = (tuple(sorted(request.params.items())), signature)
+        if cache_key not in self._enumerations:
+            query, candidates = self._gateway._prepare(
+                self.template, request.params, request.principal, constraint
+            )
+            matrix = MultiObjectiveOptimizer.candidate_matrix(candidates, self._model)
+            self._enumerations[cache_key] = (query, candidates, matrix)
+        query, candidates, matrix = self._enumerations[cache_key]
+        return replace(query, policy=request.policy), candidates, matrix
 
     def submit_many(
         self,
@@ -170,7 +179,8 @@ class GatewaySession:
                 phase="session",
             )
         # Validate the whole batch before touching any state: a foreign
-        # template in item k must not let items 0..k-1 execute first.
+        # template or malformed parameters in item k must not let items
+        # 0..k-1 execute first.
         for request in items:
             if request.template != self.template:
                 raise EnvelopeError(
@@ -179,6 +189,7 @@ class GatewaySession:
                     template=request.template,
                     phase="session",
                 )
+            self._gateway._require_envelope(request.template, request.params)
         before = len(self._enumerations)
         reports = tuple(self.submit(request, execute=execute) for request in items)
         return BatchReport(

@@ -1,14 +1,21 @@
 """The IReS platform facade: Figure 1 wired end to end.
 
-``submit`` is the full pipeline of the paper:
+Each query instance is prepared once, in one place:
 
-1. **Interface** validates the query and policy;
-2. **Modelling** fits the active estimation strategy (DREAM or BML) on
+1. **Interface** — :meth:`IReSPlatform.prepare` renders the template
+   with checked parameters, then parses and validates the query;
+2. **QEP enumeration** — :meth:`IReSPlatform.enumerate` builds the
+   space of candidate plans.
+
+Then :meth:`IReSPlatform.observe` executes one candidate and logs it,
+or :meth:`IReSPlatform.submit_request` runs the rest of the pipeline:
+
+3. **Modelling** fits the active estimation strategy (DREAM or BML) on
    the query's execution history;
-3. the **enumerator** builds the QEP space and the **Multi-Objective
-   Optimizer** computes a Pareto plan set over predicted cost vectors;
-4. **BestInPareto** (Algorithm 2) picks the final QEP under the policy;
-5. the **Executor** runs it on the engine simulators and appends the
+4. the **Multi-Objective Optimizer** computes a Pareto plan set over
+   predicted cost vectors;
+5. **BestInPareto** (Algorithm 2) picks the final QEP under the policy;
+6. the **Executor** runs it on the engine simulators and appends the
    measured costs to the history.
 """
 
@@ -162,44 +169,46 @@ class IReSPlatform:
 
     # Pipeline ---------------------------------------------------------------
 
-    def candidates_for(
+    def prepare(
+        self, key: str, params: dict, policy: UserPolicy | None = None
+    ) -> QueryRequest:
+        """Step 1: render the template with checked ``params`` (see
+        :meth:`QueryTemplate.check_params`) and validate the query
+        through the Interface."""
+        return self.interface.receive(self.template(key).render(params), policy)
+
+    def enumerate(
         self,
         key: str,
-        params: dict,
+        request: QueryRequest,
         stats: dict[str, TableStats] | None = None,
         constraint=None,
-    ) -> tuple[QueryRequest, list[QepCandidate]]:
-        """Steps 1 + 3a: validate and enumerate (no model needed).
+    ) -> list[QepCandidate]:
+        """Step 2: the QEP space of a prepared request (no model needed).
 
-        ``stats`` overrides the platform's table statistics for this call
-        (IReS-style profiling runs enumerate over sampled inputs);
-        ``constraint`` is an optional governance
-        :class:`~repro.governance.policy.PlanConstraint` the enumerator
-        applies while building the space (forbidden execution sites are
-        never materialized, let alone costed).
+        ``stats`` overrides the table statistics (IReS-style profiling
+        enumerates over sampled inputs); a governance ``constraint``
+        filters execution sites while the space is built, so forbidden
+        plans are never costed.
         """
-        template = self.template(key)
-        request = self.interface.receive(template.render(params))
-        candidates = self.enumerator.enumerate(
+        return self.enumerator.enumerate(
             key,
             request.plan,
             self.stats if stats is None else stats,
-            template.tables,
+            self.template(key).tables,
             constraint=constraint,
         )
-        return request, candidates
 
     def observe(
         self,
         key: str,
-        params: dict,
+        request: QueryRequest,
         candidate: QepCandidate,
         tick: int,
         stats: dict[str, TableStats] | None = None,
     ) -> QueryExecution:
-        """Execute a given candidate and log it (history building)."""
-        template = self.template(key)
-        request = self.interface.receive(template.render(params))
+        """Execute a given candidate of a prepared request and log it
+        (history building)."""
         # The executor appends to the history, so it runs under the
         # template's lock: a concurrent fit on this template can never
         # observe a torn window, and other templates are unaffected.
@@ -214,44 +223,24 @@ class IReSPlatform:
         self.serving.record_external()
         return execution
 
-    def submit(
-        self,
-        key: str,
-        params: dict,
-        policy: UserPolicy,
-        tick: int,
-        cost_model: FittedCostModel | None = None,
-    ) -> SubmissionResult:
-        """The full Figure 1 pipeline for one query submission.
-
-        ``cost_model`` optionally pins the model that costs the QEP space
-        (a session snapshot); the default refits through the serving
-        layer only when the history moved since the last fit.
-        """
-        template = self.template(key)
-        request = self.interface.receive(template.render(params), policy)
-        return self.submit_request(key, request, tick, cost_model=cost_model)
-
     def submit_request(
         self,
         key: str,
         request: QueryRequest,
         tick: int,
         *,
+        candidates: list[QepCandidate],
         cost_model: FittedCostModel | None = None,
-        candidates: list[QepCandidate] | None = None,
         features_matrix=None,
         execute: bool = True,
     ) -> SubmissionResult:
-        """Steps 2-5 for an already-validated request.
+        """Steps 3-6 for a prepared request and its enumerated space.
 
-        The gateway's session layer drives this directly so a parameter
-        batch can reuse one pinned ``cost_model``, one enumerated
-        ``candidates`` space and one precomputed ``features_matrix``;
+        ``cost_model`` pins the costing model (a session snapshot); the
+        default refits only when the history moved since the last fit.
+        ``features_matrix`` is the space's precomputed feature matrix;
         ``execute=False`` stops after Algorithm 2 (plan-only costing).
-        All paths are numerically identical to :meth:`submit`.
         """
-        template = self.template(key)
         history = self.history(key)
         if cost_model is None:
             if history.size == 0:
@@ -262,10 +251,6 @@ class IReSPlatform:
             # moved since the last fit (re-planning between executions is
             # a snapshot hit), under the template's lock.
             cost_model = self.serving.model(key)
-        if candidates is None:
-            candidates = self.enumerator.enumerate(
-                key, request.plan, self.stats, template.tables
-            )
         policy = request.policy
         search = self.optimizer.pareto_search(
             candidates, cost_model, policy.metrics, features_matrix=features_matrix

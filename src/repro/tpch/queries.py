@@ -9,7 +9,10 @@ so a workload can draw many distinct-but-similar query instances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
+from string import Formatter
 from typing import Callable
 
 from repro.common.errors import ValidationError
@@ -28,15 +31,70 @@ class QueryTemplate:
     parameter_generator: Callable[[RngStream], dict]
 
     def render(self, params: dict | None = None, rng: RngStream | None = None) -> str:
-        """Substitute ``params`` (or draw them from ``rng``) into the SQL."""
+        """Substitute ``params`` (or draw them from ``rng``) into the SQL.
+
+        The parameters pass :meth:`check_params` first, so a value can
+        only ever fill its slot, never rewrite the query around it.
+        """
         if params is None:
             if rng is None:
                 raise ValidationError("render() needs params or an rng to draw them")
             params = self.parameter_generator(rng)
+        self.check_params(params)
         return self.template.format(**params)
+
+    @cached_property
+    def _slots(self) -> dict[str, bool]:
+        """Placeholder name -> whether every occurrence sits inside a
+        single-quoted SQL literal (``''`` escapes keep the parity)."""
+        slots: dict[str, bool] = {}
+        quoted = False
+        for literal, name, _spec, _conversion in Formatter().parse(self.template):
+            quoted ^= literal.count("'") % 2 == 1
+            if name is not None:
+                slots[name] = slots.get(name, True) and quoted
+        return slots
+
+    def check_params(self, params) -> None:
+        """Reject parameters that could not fill this template's slots.
+
+        The keys must be exactly the placeholders.  A value is a finite
+        ``int``/``float`` (not a ``bool``) written without an exponent,
+        or a ``str`` free of ``'`` whose every slot is inside a quoted
+        literal such as ``'{testname}'``.
+        """
+        slots = self._slots
+        if not isinstance(params, dict) or set(params) != set(slots):
+            raise ValidationError(
+                f"{self.key!r} takes a dict of parameters {sorted(slots)}, got {params!r}"
+            )
+        for name, value in params.items():
+            if isinstance(value, str):
+                fits = slots[name] and "'" not in value
+            else:
+                fits = (
+                    isinstance(value, (int, float))
+                    and not isinstance(value, bool)
+                    and _plain_number(value)
+                )
+            if not fits:
+                slot = "a quoted" if slots[name] else "an unquoted"
+                raise ValidationError(
+                    f"parameter {name!r} of {self.key!r} cannot fill {slot} slot: {value!r}"
+                )
 
     def sample_params(self, rng: RngStream) -> dict:
         return self.parameter_generator(rng)
+
+
+def _plain_number(value: int | float) -> bool:
+    """Finite, and rendered as a plain decimal the SQL lexer reads back
+    (``str`` switches floats to exponent notation at the extremes)."""
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int beyond float range
+        return False
+    return finite and "e" not in str(value)
 
 
 def _q12_params(rng: RngStream) -> dict:

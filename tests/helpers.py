@@ -1,9 +1,11 @@
 """Shared fixtures and builders for the test suite.
 
-Two sections:
+Three sections:
 
 * Relational scaffolding — the tiny TPC-H-shaped catalog the planner,
   SQL and MOQP suites share.
+* Engine-room scaffolding — the prepare/enumerate/submit_request
+  pipeline spelled out once for the platform-level suites.
 * Serving scaffolding — the oracle-equivalence machinery the serving,
   sharded-property, front-door and chaos suites share: deterministic
   observation streams, the picklable worker strategy, bitwise model
@@ -107,6 +109,29 @@ def make_part() -> Table:
 
 def tiny_catalog() -> Catalog:
     return Catalog([make_orders(), make_lineitem(), make_part()])
+
+
+# ---------------------------------------------------------------------------
+# Engine-room scaffolding
+
+
+def engine_space(platform, key, params):
+    """Prepared request and QEP space of one query instance."""
+    request = platform.prepare(key, params)
+    return request, platform.enumerate(key, request)
+
+
+def engine_submit(platform, key, params, policy, tick, cost_model=None):
+    """The full Figure 1 pipeline through the engine room: prepare,
+    enumerate, then plan and execute with ``submit_request``."""
+    request = platform.prepare(key, params, policy)
+    return platform.submit_request(
+        key,
+        request,
+        tick,
+        candidates=platform.enumerate(key, request),
+        cost_model=cost_model,
+    )
 
 
 # ---------------------------------------------------------------------------

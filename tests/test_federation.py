@@ -46,6 +46,7 @@ from repro.federation import GovernanceConfig, RebalanceConfig
 from repro.ires.modelling import BmlStrategy, DreamStrategy
 from repro.ires.policy import UserPolicy
 from repro.midas import MEDICAL_QUERIES, MidasSystem
+from tests.helpers import engine_space, engine_submit
 
 KEY = "medical-demographics"
 
@@ -109,8 +110,6 @@ class TestFederationConfig:
         ("ingest_overflow", "", "ingest_overflow"),
         ("ingest_segment_max", 0, "ingest_segment_max"),
         ("ingest_segment_max", -3, "ingest_segment_max"),
-        ("ingest_pipeline", "yes", "ingest_pipeline"),
-        ("ingest_pipeline", 1, "ingest_pipeline"),
         ("rebalance", RebalanceConfig(), "rebalance requires"),
         ("rebalance", "every-tick", "rebalance must be"),
         ("governance", "audit-everything", "governance must be"),
@@ -538,7 +537,8 @@ class TestSessionApi:
 
 class TestOracleEquivalence:
     """Acceptance: the gateway surface adds zero numeric drift over the
-    old ``IReSPlatform.submit`` path on a scripted drift scenario."""
+    engine room's prepare/enumerate/submit_request path on a scripted
+    drift scenario."""
 
     SEED = 13
     POLICIES = (
@@ -558,20 +558,20 @@ class TestOracleEquivalence:
 
     def test_scripted_scenario_matches_old_platform_path(self):
         # Two identical worlds (same data, same simulator seed, same rng
-        # scripts); A is driven through the old platform API, B through
+        # scripts); A is driven through the engine-room API, B through
         # the gateway envelopes.
         midas_a = MidasSystem(patient_count=300, seed=self.SEED)
         midas_b = MidasSystem(patient_count=300, seed=self.SEED)
-        platform = midas_a.gateway.engine  # the old surface
+        platform = midas_a.gateway.engine  # the engine room
         gateway = midas_b.gateway
 
         rng_a = RngStream(99, "oracle")
         rng_b = RngStream(99, "oracle")
         self._profile(
             lambda params, candidate, tick: platform.observe(
-                KEY, params, candidate, tick
+                KEY, platform.prepare(KEY, params), candidate, tick
             ),
-            lambda params: platform.candidates_for(KEY, params)[1],
+            lambda params: engine_space(platform, KEY, params)[1],
             rng_a, runs=14, tick0=0,
         )
         self._profile(
@@ -586,7 +586,7 @@ class TestOracleEquivalence:
         template = MEDICAL_QUERIES[KEY]
         for i, policy in enumerate(self.POLICIES):
             tick = 100 + 10 * i
-            result = platform.submit(KEY, {"min_age": 25 + i}, policy, tick)
+            result = engine_submit(platform, KEY, {"min_age": 25 + i}, policy, tick)
             report = gateway.submit(
                 SubmitRequest(KEY, {"min_age": 25 + i}, policy, tick=tick)
             )
@@ -602,9 +602,9 @@ class TestOracleEquivalence:
             # More drift between submissions.
             self._profile(
                 lambda params, candidate, t: platform.observe(
-                    KEY, params, candidate, t
+                    KEY, platform.prepare(KEY, params), candidate, t
                 ),
-                lambda params: platform.candidates_for(KEY, params)[1],
+                lambda params: engine_space(platform, KEY, params)[1],
                 rng_a, runs=3, tick0=tick + 1,
             )
             self._profile(
@@ -616,15 +616,16 @@ class TestOracleEquivalence:
                 rng_b, runs=3, tick0=tick + 1,
             )
 
-        # Pinned batch: session.submit_many vs the old path with the
-        # platform's own pinned snapshot threaded through submit().
+        # Pinned batch: session.submit_many vs the engine room with the
+        # platform's own pinned snapshot threaded through submit_request().
         pinned = platform.serving.model(KEY)
         batch_requests = [
             SubmitRequest(KEY, {"min_age": 35}, policy, tick=200 + i)
             for i, policy in enumerate(self.POLICIES)
         ] + [SubmitRequest(KEY, {"min_age": 55}, self.POLICIES[0], tick=203)]
         old_results = [
-            platform.submit(
+            engine_submit(
+                platform,
                 request.template,
                 request.params,
                 request.policy,

@@ -191,7 +191,7 @@ class TestBackpressure:
             midas = make_midas(
                 seed=32, runs=0, config=self.config(ingest_overflow=mode)
             )
-            rows = tuple(ObserveRequest(KEY) for _ in range(5))
+            rows = tuple(ObserveRequest(KEY, {"min_age": 30}) for _ in range(5))
             with pytest.raises(IngestOverflowError, match="whole ingest queue"):
                 midas.gateway.ingest(BatchObserveRequest(KEY, rows))
             midas.gateway.close()

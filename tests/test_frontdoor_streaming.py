@@ -13,10 +13,9 @@ observable consequences:
   never strands the flush or later callbacks;
 * ``FrontDoor.as_completed`` / ``gateway.ingest_iter`` — admission-order
   streaming consumption, bitwise-equal to the sequential replay;
-* pipelined flush (``ingest_pipeline=True``) — overlapped prefits keep
-  the deterministic mixed-traffic case bitwise-equal to the sequential
-  oracle on both backends (the property-level proof lives in
-  ``tests/test_sharded_properties.py``).
+* segment-by-segment flushing of interleaved submits and observes stays
+  bitwise-equal to the sequential oracle on both backends (the
+  property-level proof lives in ``tests/test_sharded_properties.py``).
 """
 
 import threading
@@ -42,7 +41,6 @@ from tests.helpers import (
 )
 
 KEY = "medical-demographics"
-KEY2 = "medical-severe-cases"
 
 
 def make_midas(
@@ -257,6 +255,9 @@ class TestIngestIter:
 
 
 class TestPipelinedFlush:
+    """Fine segments over interleaved submits and observes: every
+    segment boundary prefits exactly what the sequential oracle fits."""
+
     @pytest.mark.parametrize("backend", ["threaded", "sharded"])
     def test_pipelined_flush_matches_sequential_oracle(self, backend):
         script = [
@@ -266,46 +267,10 @@ class TestPipelinedFlush:
         ]
         traffic = build_gateway_traffic(script, seed=63)
         sequential = run_sequential(traffic, backend, seed=63)
-        pipelined = run_streamed(
+        streamed = run_streamed(
             traffic,
             backend,
             seed=63,
-            config=gateway_config(
-                backend, ingest_pipeline=True, ingest_segment_max=2
-            ),
+            config=gateway_config(backend, ingest_segment_max=2),
         )
-        assert_gateway_outcomes_equal(sequential, pipelined)
-
-    def test_pipeline_actually_overlaps_prefits(self):
-        # segment_max=2 cuts [obs K, obs K | sub K2, obs K2 | ...]: the
-        # next segment's submit template (KEY2) is untouched by the
-        # current segment, so its prefit is safe to overlap — observed
-        # via the helper thread's name, never via timing.
-        config = FederationConfig(ingest_pipeline=True, ingest_segment_max=2)
-        midas = make_midas(seed=64, config=config)
-        midas.warm_up(KEY2, runs=10)
-        gateway = midas.gateway
-        rng = RngStream(18, "overlap")
-        prefit_threads = set()
-        inner_prefit = gateway._prefit_for_flush
-
-        def spying_prefit(keys):
-            prefit_threads.add(threading.current_thread().name)
-            return inner_prefit(keys)
-
-        gateway._prefit_for_flush = spying_prefit
-        try:
-            for _ in range(3):
-                gateway.ingest(observe_request(rng, KEY))
-                gateway.ingest(observe_request(rng, KEY))
-                gateway.ingest(submit_request(rng, KEY2))
-                gateway.ingest(observe_request(rng, KEY2))
-            batch = gateway.drain()
-        finally:
-            del gateway._prefit_for_flush
-        assert batch.failed == 0
-        assert batch.segments >= 2
-        assert any(
-            name.startswith("frontdoor-prefit") for name in prefit_threads
-        ), prefit_threads
-        gateway.close()
+        assert_gateway_outcomes_equal(sequential, streamed)

@@ -166,27 +166,23 @@ class TestGatewayIngestEquivalenceProperties:
 
 class TestStreamingEquivalenceProperties:
     """ISSUE 10 satellite: the streaming surfaces — per-segment ticket
-    resolution (with done-callbacks), the asyncio client, and the
-    pipelined flush — are all bitwise-identical to the sequential
-    single-call replay: reports, error types, ticks, fit and
-    observation counters.  Segment size and pipelining are drawn by
-    hypothesis so subdivided and overlapped flushes get the same
-    scrutiny as the default cut."""
+    resolution (with done-callbacks) and the asyncio client — are
+    bitwise-identical to the sequential single-call replay: reports,
+    error types, ticks, fit and observation counters.  Segment size is
+    drawn by hypothesis so subdivided flushes get the same scrutiny as
+    the default cut."""
 
     @given(
         script=gateway_scripts,
         seed=st.integers(min_value=1, max_value=10_000),
         segment_max=st.integers(min_value=1, max_value=4),
-        pipeline=st.booleans(),
     )
     @settings(max_examples=8)
     def test_threaded_streamed_matches_sequential_replay(
-        self, script, seed, segment_max, pipeline
+        self, script, seed, segment_max
     ):
         traffic = build_gateway_traffic(script, seed)
-        config = gateway_config(
-            "threaded", ingest_segment_max=segment_max, ingest_pipeline=pipeline
-        )
+        config = gateway_config("threaded", ingest_segment_max=segment_max)
         assert_gateway_outcomes_equal(
             run_sequential(traffic, "threaded", seed),
             run_streamed(traffic, "threaded", seed, config=config),
@@ -196,16 +192,13 @@ class TestStreamingEquivalenceProperties:
         script=gateway_scripts,
         seed=st.integers(min_value=1, max_value=10_000),
         segment_max=st.integers(min_value=1, max_value=4),
-        pipeline=st.booleans(),
     )
     @settings(max_examples=4)
     def test_sharded_streamed_matches_sequential_replay(
-        self, script, seed, segment_max, pipeline
+        self, script, seed, segment_max
     ):
         traffic = build_gateway_traffic(script, seed)
-        config = gateway_config(
-            "sharded", ingest_segment_max=segment_max, ingest_pipeline=pipeline
-        )
+        config = gateway_config("sharded", ingest_segment_max=segment_max)
         assert_gateway_outcomes_equal(
             run_sequential(traffic, "sharded", seed),
             run_streamed(traffic, "sharded", seed, config=config),
@@ -270,9 +263,7 @@ class TestStreamedCrashEquivalence:
 
     def test_streamed_worker_crash_mid_segment_is_bitwise_invisible(self):
         traffic = self._traffic()
-        config = gateway_config(
-            "sharded", ingest_segment_max=3, ingest_pipeline=True
-        )
+        config = gateway_config("sharded", ingest_segment_max=3)
         assert_gateway_outcomes_equal(
             run_sequential(traffic, "sharded", self.SEED),
             run_streamed(
@@ -283,9 +274,7 @@ class TestStreamedCrashEquivalence:
 
     def test_async_worker_crash_mid_segment_is_bitwise_invisible(self):
         traffic = self._traffic()
-        config = gateway_config(
-            "sharded", ingest_segment_max=3, ingest_pipeline=True
-        )
+        config = gateway_config("sharded", ingest_segment_max=3)
         assert_gateway_outcomes_equal(
             run_sequential(traffic, "sharded", self.SEED),
             run_async(
