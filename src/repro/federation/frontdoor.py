@@ -3,7 +3,7 @@
 The gateway's single-call surface (:meth:`FederationGateway.submit` /
 ``observe``) pays one fit RPC per stale template and one envelope per
 execution row — exactly the regime where the sharded backend trails the
-thread pool.  :class:`FrontDoor` is the batch-first alternative:
+in-process service.  :class:`FrontDoor` is the batch-first alternative:
 requests are *admitted* into a bounded queue (``gateway.ingest()``) and
 *executed* later in one coalesced flush (``gateway.drain()``, or
 automatically at the size/staleness watermarks), where every stale
@@ -621,18 +621,23 @@ class FrontDoor:
                             reports[offset] = gateway.submit(request)
                         else:
                             reports[offset] = gateway.observe(request)
-                    except FederationError as error:
+                    except (FederationError, EstimationError) as error:
+                        # Admission consumed this item's tick; journal
+                        # it, or a recovered gateway's counter would
+                        # drift from the uninterrupted one's.
+                        gateway._journal_tick()
+                        if not isinstance(error, FederationError):
+                            # Keep the batch's error surface typed even
+                            # for engine-room failures outside the
+                            # taxonomy.
+                            wrapped = FederationError(
+                                str(error),
+                                template=item.request.template,
+                                phase="ingest",
+                            )
+                            wrapped.__cause__ = error
+                            error = wrapped
                         errors[offset] = error
-                    except EstimationError as error:
-                        # Keep the batch's error surface typed even for
-                        # engine-room failures outside the taxonomy.
-                        wrapped = FederationError(
-                            str(error),
-                            template=item.request.template,
-                            phase="ingest",
-                        )
-                        wrapped.__cause__ = error
-                        errors[offset] = wrapped
                 # Streaming: this segment's tickets resolve now, while
                 # later segments are still pending.
                 segments_done += 1

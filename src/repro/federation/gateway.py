@@ -85,7 +85,7 @@ class FederationGateway:
         The physical environment (what exists and where it runs).
     config:
         Declarative behaviour: estimation backend, thresholds, cache
-        budget, optimizer algorithm, refresh-pool width.
+        budget, optimizer algorithm, serving backend.
     strategy:
         Escape hatch for a pre-built
         :class:`~repro.ires.modelling.EstimationStrategy` instance
@@ -132,7 +132,6 @@ class FederationGateway:
             simulator=simulator,
             strategy=self._strategy,
             optimizer=optimizer,
-            max_fit_workers=self.config.max_fit_workers,
             serving_factory=lambda modelling: create_serving(
                 self.config, modelling
             ),
@@ -142,7 +141,11 @@ class FederationGateway:
         self._tick = 0
         self._rotation: dict[str, int] = {}
         self._front_door: FrontDoor | None = None
+        #: ``_closed`` stops admissions (ingest, rebalance cycles) at the
+        #: start of close(); ``_stopped`` stops single-call traffic once
+        #: the front door's final flush has run the admitted items.
         self._closed = False
+        self._stopped = False
         self._close_lock = threading.Lock()
         # Elastic-topology control loop: one stateful policy for the
         # gateway's lifetime (heat EWMAs carry across cycles), driven
@@ -238,19 +241,33 @@ class FederationGateway:
         with self._lock:
             return tuple(sorted(self._keys))
 
-    def _require_template(self, key: str) -> None:
+    def _require_live_locked(self) -> None:
+        """Refuse an entry point that appends, fits or pins once the
+        gateway is closed (caller holds ``self._lock``)."""
+        if self._stopped:
+            raise SessionStateError(
+                "gateway is closed; open a new gateway (or recover() one) "
+                "to append, fit or pin"
+            )
+
+    def _require_template(self, key: str, *, live: bool = False) -> None:
+        """Raise unless ``key`` is registered; with ``live``, also
+        unless the gateway is still open (one lock acquisition)."""
         with self._lock:
+            if live:
+                self._require_live_locked()
             if key not in self._keys:
                 known = ", ".join(sorted(self._keys)) or "<none>"
                 raise UnknownTemplateError(
                     f"unknown template {key!r}; registered: {known}", template=key
                 )
 
-    def _require_envelope(self, key: str, params) -> None:
+    def _require_envelope(self, key: str, params, *, live: bool = False) -> None:
         """Admission check of one request: a registered template and
-        parameters that fit its placeholders, else a typed error before
-        the request touches any state."""
-        self._require_template(key)
+        parameters that fit its placeholders (and, with ``live``, an
+        open gateway), else a typed error before the request touches
+        any state."""
+        self._require_template(key, live=live)
         try:
             self.engine.template(key).check_params(params)
         except ValidationError as error:
@@ -606,7 +623,7 @@ class FederationGateway:
         rejection happens before a tick or rotation slot is taken.
         """
         key = request.template
-        self._require_envelope(key, request.params)
+        self._require_envelope(key, request.params, live=True)
         if self._durability is not None:
             self._durability.ensure_ready()
         constraint = self._constraint_for(key, request.principal)
@@ -823,7 +840,7 @@ class FederationGateway:
     def _pin(self, key: str) -> tuple[FittedCostModel, int]:
         """Fit-or-fetch the template's snapshot plus its history version,
         atomically with respect to appends on that template."""
-        self._require_template(key)
+        self._require_template(key, live=True)
         serving = self.engine.serving
         with serving.template_lock(key):
             try:
@@ -842,7 +859,7 @@ class FederationGateway:
         execute: bool = True,
     ) -> SubmissionReport:
         key = request.template
-        self._require_envelope(key, request.params)
+        self._require_envelope(key, request.params, live=True)
         if self._durability is not None:
             self._durability.ensure_ready()
         constraint = self._constraint_for(key, request.principal)
@@ -932,14 +949,16 @@ class FederationGateway:
 
     # Models ---------------------------------------------------------------
 
-    def refresh(
-        self, keys: list[str] | None = None, parallel: bool = True
-    ) -> dict[str, FittedCostModel]:
-        """Prefit stale templates for a burst (serving-layer refresh)."""
-        if keys is not None:
-            for key in keys:
-                self._require_template(key)
-        return self.engine.refresh_models(keys, parallel=parallel)
+    def refresh(self, keys: list[str] | None = None) -> dict[str, FittedCostModel]:
+        """Prefit stale templates (all registered ones by default) in one
+        coalesced ``refresh_batch``; returns the current model of every
+        requested template that has one (too-short histories are
+        omitted)."""
+        with self._lock:
+            self._require_live_locked()
+        for key in keys or ():
+            self._require_template(key)
+        return self.engine.serving.refresh_batch(keys).models
 
     def model(self, key: str) -> FittedCostModel:
         """The template's current fitted model (refit only when stale)."""
@@ -953,7 +972,7 @@ class FederationGateway:
 
     @property
     def serving_stats(self) -> ServiceStats:
-        """Serving-layer counters (fits, snapshot hits, bursts, ...)."""
+        """Serving-layer counters (fits, snapshot hits, batch refreshes, ...)."""
         return self.engine.serving.stats
 
     def serving_report(self) -> ServingReport:
@@ -1074,18 +1093,24 @@ class FederationGateway:
         :class:`~repro.federation.errors.SessionStateError` instead),
         then the front door closes — which waits out any in-flight
         ``drain`` and flushes admitted-but-pending requests while the
-        serving layer is still alive, never dropping them — and only
-        then does the serving layer shut down.  Concurrent and repeat
+        serving layer is still alive, never dropping them — then the
+        single-call entry points that append, fit or pin (``observe``,
+        ``submit``, ``submit_many``, ``session``, ``refresh``,
+        ``model``) start raising ``SessionStateError``, and only then
+        does the serving layer shut down.  Concurrent and repeat
         ``close()`` calls serialise on a dedicated mutex, so a second
         closer can never tear the serving layer down under the first
-        one's final flush.  ``drain()`` keeps working after close,
-        returning empty batches."""
+        one's final flush.  ``history()``, ``templates()``, the reports
+        and ``drain()`` keep working after close (``drain()`` returns
+        empty batches)."""
         with self._close_lock:
             with self._lock:
                 self._closed = True
                 door = self._front_door
             if door is not None:
                 door.close()
+            with self._lock:
+                self._stopped = True
             # The ticker stops after the door's final flush (so that
             # flush still rebalances if it crossed the cadence) and
             # before the serving layer dies under a mid-cycle move.

@@ -102,7 +102,6 @@ class IReSPlatform:
         simulator: MultiEngineSimulator,
         strategy: EstimationStrategy,
         optimizer: MultiObjectiveOptimizer | None = None,
-        max_fit_workers: int | None = None,
         serving_factory=None,
     ):
         self.catalog = catalog
@@ -116,16 +115,14 @@ class IReSPlatform:
         from repro.serving.service import EstimationService
 
         #: Multi-tenant front over the same Modelling registry: version-
-        #: cached model snapshots, per-template locks, burst refresh.
+        #: cached model snapshots, per-template locks, batch refresh.
         #: ``serving_factory(modelling)`` swaps the implementation (the
         #: gateway plugs the config-selected backend in here — e.g. the
         #: cross-process :class:`~repro.serving.sharded
         #: .ShardedEstimationService`); the default is the in-process
         #: thread-scoped service.
         if serving_factory is None:
-            self.serving = EstimationService(
-                modelling=self.modelling, max_workers=max_fit_workers
-            )
+            self.serving = EstimationService(modelling=self.modelling)
         else:
             self.serving = serving_factory(self.modelling)
         self.optimizer = optimizer or MultiObjectiveOptimizer()
@@ -156,16 +153,6 @@ class IReSPlatform:
 
     def history(self, key: str) -> ExecutionHistory:
         return self.modelling.history(key)
-
-    def refresh_models(
-        self, keys: list[str] | None = None, parallel: bool = True
-    ) -> dict[str, FittedCostModel]:
-        """Prefit (all) registered templates' models for a burst.
-
-        Delegates to the serving layer: stale templates are fitted
-        concurrently, fresh ones are returned from their snapshots.
-        """
-        return self.serving.refresh(keys, parallel=parallel)
 
     # Pipeline ---------------------------------------------------------------
 

@@ -26,10 +26,12 @@ for the hot ones.  Eviction is safe — an engine is derived state and
 refits from its history to the identical window and predictions.
 
 **Bursts.**  A submission burst touches many templates at once;
-:meth:`~repro.serving.service.EstimationService.refresh` fits all stale
-templates concurrently on a thread pool (per-template histories are
-independent, and NumPy releases the GIL inside the matmul-heavy
-RLS/PRESS path), then serves every estimate from the refreshed
+:meth:`~repro.serving.service.BaseEstimationService.refresh_batch` is
+the one multi-template fit path: it hands the whole stale subset to the
+backend in one coalesced call (the in-process service fits it
+sequentially; the sharded one ships one ``fit_many`` RPC per busy
+shard), returns typed per-template errors for tenants that cannot be
+fitted yet, and every estimate is then served from the refreshed
 snapshots.  ``benchmarks/bench_serving_burst.py`` measures the burst
 latency against sequential seed-path fitting.
 
@@ -40,12 +42,11 @@ pool of worker *processes* (one private strategy + engine cache each),
 streaming history rows over a pickle-safe pipe RPC
 (:mod:`repro.serving.worker`) with crash detection and deterministic
 replay-on-respawn.  ``benchmarks/bench_sharded_serving.py`` measures
-burst throughput against the thread-pool service.
+burst throughput against the in-process service.
 """
 
 from repro.core.cache import CacheStats, ModelCache
 from repro.serving.service import (
-    DEFAULT_MAX_WORKERS,
     BaseEstimationService,
     BatchRefreshResult,
     EstimationService,
@@ -74,7 +75,6 @@ __all__ = [
     "BatchRefreshResult",
     "CacheStats",
     "ModelCache",
-    "DEFAULT_MAX_WORKERS",
     "DEFAULT_SHARD_WORKERS",
     "EstimationService",
     "Migration",

@@ -18,7 +18,7 @@ started, which is exactly the "estimates are as-of the latest fit"
 semantics a serving layer wants.
 
 :class:`BaseEstimationService` carries this whole contract —
-registration, ingest, snapshot bookkeeping, burst refresh, counters —
+registration, ingest, snapshot bookkeeping, batch refresh, counters —
 and leaves only the *fit transport* to subclasses:
 :class:`EstimationService` fits in-process through a shared
 :class:`~repro.ires.modelling.Modelling`, the cross-process
@@ -32,7 +32,6 @@ from __future__ import annotations
 import threading
 import time
 from abc import ABC, abstractmethod
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -49,11 +48,6 @@ from repro.ires.modelling import (
     Modelling,
 )
 
-#: Upper bound on burst-refresh worker threads.  The RLS/PRESS path is
-#: NumPy-matmul heavy (the GIL is released inside the C kernels), but
-#: far past the core count the threads only add contention.
-DEFAULT_MAX_WORKERS = 8
-
 
 @dataclass(frozen=True)
 class ServiceStats:
@@ -69,14 +63,11 @@ class ServiceStats:
     #: platform executor's history appends); raw appends on a bare
     #: history object outside both paths still bypass this counter.
     observations: int
-    #: ``refresh`` calls, and how many stale fits they attempted.
-    bursts: int
-    burst_fits: int
     #: Engine-cache counters when the strategy exposes a ModelCache.
     engine_cache: CacheStats | None = None
     #: ``refresh_batch`` calls, and how many stale fits they grouped
     #: (the sharded backend ships each group as one ``fit_many`` RPC
-    #: per shard instead of one ``fit`` RPC per template).
+    #: per shard).
     batch_refreshes: int = 0
     batch_fits: int = 0
 
@@ -137,23 +128,19 @@ class BaseEstimationService(ABC):
     """The serving contract, minus the fit transport.
 
     Subclasses implement :meth:`_fit_state` (produce a fitted model for
-    one template, template lock held) and :meth:`_fit_stale` (fan a
-    burst of stale fits out), plus the :meth:`_on_register` /
-    :meth:`_engine_cache_stats` / :meth:`close` hooks.
+    one template, template lock held), may override :meth:`_fit_batch`
+    (fit a stale group in one transport call), and fill the
+    :meth:`_on_register` / :meth:`_engine_cache_stats` / :meth:`close`
+    hooks.
     """
 
-    def __init__(self, max_workers: int | None = None):
-        if max_workers is not None and max_workers < 1:
-            raise ValidationError(f"max_workers must be >= 1, got {max_workers}")
-        self.max_workers = max_workers or DEFAULT_MAX_WORKERS
+    def __init__(self):
         self._templates: dict[str, _Template] = {}
         self._registry_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         self._fits = 0
         self._snapshot_hits = 0
         self._observations = 0
-        self._bursts = 0
-        self._burst_fits = 0
         self._batch_refreshes = 0
         self._batch_fits = 0
         #: Optional observer ``(key, history_version)`` invoked after
@@ -165,19 +152,20 @@ class BaseEstimationService(ABC):
     # Subclass hooks -------------------------------------------------------
 
     @abstractmethod
-    def _fit_state(self, state: _Template) -> FittedCostModel:
-        """Fit one template's current history (template lock held)."""
+    def _fit_state(self, state: _Template) -> tuple[FittedCostModel, float]:
+        """Fit one template's current history (template lock held);
+        returns the model and the fit's wall time in seconds."""
 
-    @abstractmethod
-    def _fit_stale(
-        self, stale: list[str], parallel: bool
-    ) -> dict[str, FittedCostModel | None]:
-        """Fit a burst of stale templates, possibly concurrently."""
-
-    def _note_template_fit(self, state: _Template, seconds: float) -> None:
-        """Fold one successful fit's wall time into the template's load
-        accounting (any thread; takes the stats lock)."""
+    def _install_fit(
+        self, state: _Template, version: int, fitted: FittedCostModel, seconds: float
+    ) -> FittedCostModel:
+        """Publish one successful fit as the template's snapshot
+        (template lock held) and fold its wall time into the template's
+        load accounting."""
+        state.snapshot = fitted
+        state.snapshot_version = version
         with self._stats_lock:
+            self._fits += 1
             state.fits += 1
             if state.fit_seconds_ewma is None:
                 state.fit_seconds_ewma = seconds
@@ -189,7 +177,8 @@ class BaseEstimationService(ABC):
         # Observer fires outside the stats lock (it may take the
         # durability manager's lock; keep the leaf lock a leaf).
         if self.on_fit is not None:
-            self.on_fit(state.key, state.history.version)
+            self.on_fit(state.key, version)
+        return fitted
 
     def _on_register(self, state: _Template) -> None:
         """Wire a freshly registered template into the backend."""
@@ -300,14 +289,8 @@ class BaseEstimationService(ABC):
                 with self._stats_lock:
                     self._snapshot_hits += 1
                 return state.snapshot
-            started = time.perf_counter()
-            fitted = self._fit_state(state)
-            self._note_template_fit(state, time.perf_counter() - started)
-            state.snapshot = fitted
-            state.snapshot_version = version
-            with self._stats_lock:
-                self._fits += 1
-            return fitted
+            fitted, seconds = self._fit_state(state)
+            return self._install_fit(state, version, fitted, seconds)
 
     def is_stale(self, key: str) -> bool:
         state = self._state(key)
@@ -320,45 +303,12 @@ class BaseEstimationService(ABC):
     def stale_keys(self) -> list[str]:
         return [key for key in self.keys() if self.is_stale(key)]
 
-    def _try_model(self, key: str) -> FittedCostModel | None:
-        """``model()``, or None when the template cannot be fitted yet
-        (e.g. its history is still shorter than the minimum window).
-        Backend-infrastructure failures are never swallowed here."""
-        try:
-            return self.model(key)
-        except EstimationError as error:
-            if self._is_infrastructure_error(error):
-                raise
-            return None
-
     @staticmethod
     def _is_infrastructure_error(error: EstimationError) -> bool:
-        """Distinguish "cannot fit yet" (omit from a burst) from "the
-        backend itself broke" (must surface).  The in-process service
-        has no infrastructure to break."""
+        """Distinguish "cannot fit yet" (recorded per template) from
+        "the backend itself broke" (must surface).  The in-process
+        service has no infrastructure to break."""
         return False
-
-    def refresh(
-        self, keys: list[str] | None = None, parallel: bool = True
-    ) -> dict[str, FittedCostModel]:
-        """Fit every stale template (a submission burst), concurrently.
-
-        Per-template histories are independent, so stale fits fan out
-        through the backend's :meth:`_fit_stale`.  Returns the current
-        model for every requested key that has one; tenants that cannot
-        be fitted yet (too little history) are omitted rather than
-        poisoning the burst for the healthy tenants.
-        """
-        requested = self.keys() if keys is None else list(keys)
-        stale = [key for key in requested if self.is_stale(key)]
-        results = self._fit_stale(stale, parallel)
-        for key in requested:
-            if key not in results:
-                results[key] = self._try_model(key)
-        with self._stats_lock:
-            self._bursts += 1
-            self._burst_fits += len(stale)
-        return {key: model for key, model in results.items() if model is not None}
 
     def _fit_batch(
         self, stale: list[str]
@@ -382,16 +332,16 @@ class BaseEstimationService(ABC):
         return outcomes
 
     def refresh_batch(self, keys: list[str] | None = None) -> BatchRefreshResult:
-        """Bring a group of templates up to date in one coalesced call.
+        """Bring a group of templates (all registered ones by default)
+        up to date in one coalesced call — the only multi-template fit
+        path.
 
-        The batch-first sibling of :meth:`refresh`: instead of N
-        independent stale fits it hands the whole stale subset to the
-        backend's :meth:`_fit_batch` (one grouped transport call where
-        the backend has one), and instead of silently omitting tenants
-        that cannot be fitted it returns their typed errors alongside
-        the healthy models.  Fresh templates resolve through
-        :meth:`model` and count as snapshot hits, exactly as the
-        single-call path would.
+        The whole stale subset goes to the backend's :meth:`_fit_batch`
+        (one grouped transport call where the backend has one); tenants
+        that cannot be fitted yet (too little history) come back as
+        typed errors alongside the healthy models instead of poisoning
+        the batch.  Fresh templates resolve through :meth:`model` and
+        count as snapshot hits, exactly as the single-call path would.
         """
         requested = self.keys() if keys is None else list(keys)
         stale = [key for key in requested if self.is_stale(key)]
@@ -440,8 +390,6 @@ class BaseEstimationService(ABC):
                 fits=self._fits,
                 snapshot_hits=self._snapshot_hits,
                 observations=self._observations,
-                bursts=self._bursts,
-                burst_fits=self._burst_fits,
                 engine_cache=engine_cache,
                 batch_refreshes=self._batch_refreshes,
                 batch_fits=self._batch_fits,
@@ -461,17 +409,14 @@ class EstimationService(BaseEstimationService):
     modelling:
         An existing Modelling registry to front (the IReS platform hands
         its own in, so platform and service see the same histories).
-    max_workers:
-        Thread-pool width for :meth:`refresh` bursts.
     """
 
     def __init__(
         self,
         strategy: EstimationStrategy | None = None,
         modelling: Modelling | None = None,
-        max_workers: int | None = None,
     ):
-        super().__init__(max_workers=max_workers)
+        super().__init__()
         if modelling is not None:
             self._modelling = modelling
         else:
@@ -485,22 +430,10 @@ class EstimationService(BaseEstimationService):
         # Registers in Modelling too: platform and service share state.
         self._modelling.register(state.key, state.history)
 
-    def _fit_state(self, state: _Template) -> FittedCostModel:
-        return self._modelling.fit(state.key)
-
-    def _fit_stale(
-        self, stale: list[str], parallel: bool
-    ) -> dict[str, FittedCostModel | None]:
-        """NumPy releases the GIL inside the matmul-heavy RLS path, so
-        bursts overlap on a thread pool on multicore hosts."""
-        if parallel and len(stale) > 1:
-            width = min(self.max_workers, len(stale))
-            with ThreadPoolExecutor(
-                max_workers=width, thread_name_prefix="estimation-burst"
-            ) as pool:
-                futures = {key: pool.submit(self._try_model, key) for key in stale}
-                return {key: future.result() for key, future in futures.items()}
-        return {key: self._try_model(key) for key in stale}
+    def _fit_state(self, state: _Template) -> tuple[FittedCostModel, float]:
+        started = time.perf_counter()
+        fitted = self._modelling.fit(state.key)
+        return fitted, time.perf_counter() - started
 
     def _engine_cache_stats(self) -> CacheStats | None:
         engine_cache = getattr(self.strategy, "engine_cache", None)
@@ -510,5 +443,6 @@ class EstimationService(BaseEstimationService):
         s = self.stats
         return (
             f"EstimationService(templates={s.templates}, fits={s.fits}, "
-            f"snapshot_hits={s.snapshot_hits}, bursts={s.bursts})"
+            f"snapshot_hits={s.snapshot_hits}, "
+            f"batch_refreshes={s.batch_refreshes})"
         )

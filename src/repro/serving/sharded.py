@@ -4,7 +4,7 @@
 but its fits contend for one GIL and its engines live in one process.
 :class:`ShardedEstimationService` keeps the exact same serving contract
 — it *is* a :class:`~repro.serving.service.BaseEstimationService`, so
-registration, per-template locks, version-keyed snapshots, burst
+registration, per-template locks, version-keyed snapshots, batch
 refresh and :class:`~repro.serving.service.ServiceStats` are literally
 the shared skeleton — while moving every fit into a pool of shard
 worker processes:
@@ -38,8 +38,8 @@ worker processes:
   predictions are unchanged (property-tested, including a forced
   mid-run crash).  Worker-*infrastructure* failures (a double crash, a
   replica desync, a hung RPC) surface as
-  :class:`ShardedServingError` and are never silently swallowed by a
-  burst, unlike a plain "history still too short" skip.
+  :class:`ShardedServingError` and are never silently recorded by a
+  batch refresh, unlike a plain "history still too short" error.
 * **Load accounting + rebalancing.**  Each shard tracks a fit
   wall-time EWMA, an RPC queue depth (threads waiting on the shard
   lock) and its pending-row backlog; :meth:`shard_loads` /
@@ -94,7 +94,8 @@ DEFAULT_SHARD_WORKERS = max(2, min(8, os.cpu_count() or 2))
 class ShardedServingError(EstimationError):
     """A shard worker failed in a way that is not a plain estimation or
     validation error (protocol desync, repeated crash, hung RPC, use
-    after close).  Never swallowed by burst refreshes."""
+    after close).  Never recorded as a per-template batch-refresh
+    error."""
 
 
 class WorkerCrashError(ShardedServingError):
@@ -113,6 +114,19 @@ class StaleRouteError(ShardedServingError):
     replica it was told to ``forget``, and refuses any straggler request
     that still names the key.  Loud by design: a fit silently served
     from a dropped replica would mean the atomic route flip leaked."""
+
+
+def _reply_error(shard: "_Shard", reply: dict) -> EstimationError | ValidationError:
+    """The parent-side exception for a worker's failed reply: the
+    ``kind`` taxonomy of :mod:`repro.serving.worker` mapped back."""
+    kind, text = reply["kind"], reply["error"]
+    if kind == "validation":
+        return ValidationError(text)
+    if kind == "estimation":
+        return EstimationError(text)
+    if kind == "stale_route":
+        return StaleRouteError(f"shard {shard.index}: {text}")
+    return ShardedServingError(f"shard {shard.index}: {text}")
 
 
 def shard_of(key: str, workers: int) -> int:
@@ -160,10 +174,6 @@ class ShardedEstimationService(BaseEstimationService):
         Optional parent-side registry to mirror registrations into, so
         an :class:`~repro.ires.platform.IReSPlatform` sharing it sees
         the same histories.  The parent never fits through it.
-    max_workers:
-        Width of the :meth:`refresh` fan-out thread pool (capped at the
-        shard count; threads beyond one per shard cannot help because a
-        shard answers one RPC at a time).
     rpc_timeout:
         Seconds to wait for a single worker reply before declaring the
         worker hung, terminating it, and respawning (``None`` = wait
@@ -176,11 +186,10 @@ class ShardedEstimationService(BaseEstimationService):
         strategy_factory: Callable[[], EstimationStrategy],
         workers: int | None = None,
         modelling: Modelling | None = None,
-        max_workers: int | None = None,
         rpc_timeout: float | None = None,
         mp_context: str | None = None,
     ):
-        super().__init__(max_workers=max_workers)
+        super().__init__()
         if workers is not None and workers < 1:
             raise ValidationError(f"workers must be >= 1, got {workers}")
         if rpc_timeout is not None and not rpc_timeout > 0:
@@ -383,11 +392,10 @@ class ShardedEstimationService(BaseEstimationService):
                     f"shard {shard.index} worker hung past "
                     f"rpc_timeout={self.rpc_timeout}s on {message['op']!r}"
                 )
-        if message["op"] in ("fit", "fit_many"):
+        if message["op"] == "fit_many":
             # Per-template fit cost EWMA, parent-observed (RPC included):
             # the wall-time half of the shard's load accounting.
-            span = len(message.get("items", ())) or 1
-            sample = (time.perf_counter() - started) / span
+            sample = (time.perf_counter() - started) / len(message["items"])
             with self._stats_lock:
                 if shard.fit_ewma is None:
                     shard.fit_ewma = sample
@@ -398,17 +406,7 @@ class ShardedEstimationService(BaseEstimationService):
                     )
         if reply["ok"]:
             return reply["value"]
-        kind, text = reply["kind"], reply["error"]
-        if kind == "validation":
-            error = ValidationError(text)
-        elif kind == "estimation":
-            error = EstimationError(text)
-        elif kind == "stale_route":
-            error = StaleRouteError(f"shard {shard.index}: {text}")
-        else:
-            error = ShardedServingError(f"shard {shard.index}: {text}")
-        error.worker_reply = reply  # op-specific extras (e.g. "appended")
-        raise error
+        raise _reply_error(shard, reply)
 
     @staticmethod
     def _encode_rows(state: _Template, start: int) -> list[Row]:
@@ -474,90 +472,34 @@ class ShardedEstimationService(BaseEstimationService):
             with self._stats_lock:
                 shard.waiters -= 1
 
-    def _fit_state(self, state: _Template) -> FittedCostModel:
-        """Ship the unsynced rows and fit on the shard; caller holds the
-        template lock.
-
-        The delta is computed *under the shard lock* so it is always
-        relative to what the replica actually holds — a respawn that
-        replayed the full history in between resets ``synced`` before
-        this runs, and the retry recomputes its delta after the replay.
-        """
+    def _fit_state(self, state: _Template) -> tuple[FittedCostModel, float]:
+        """Fit one template on its shard as a one-item ``fit_many``
+        (caller holds the template lock); the seconds are the worker's
+        own measurement of the fit."""
         shard = self._shards[self.shard_of(state.key)]
         with self._queue_slot(shard), shard.lock:
-            try:
-                fitted = self._fit_locked(shard, state)
-            except WorkerCrashError:
-                self._respawn_locked(shard)
-                fitted = self._fit_locked(shard, state)
-        return fitted
-
-    def _fit_locked(self, shard: _Shard, state: _Template) -> FittedCostModel:
-        rows = self._encode_rows(state, start=state.synced)
-        try:
-            fitted = self._call_locked(
-                shard,
-                {
-                    "op": "fit",
-                    "key": state.key,
-                    "rows": rows,
-                    "expected_size": state.synced + len(rows),
-                },
-            )
-        except WorkerCrashError:
-            raise  # caller respawns; the replay resets the sync cursor
-        except (ValidationError, EstimationError) as error:
-            # The replica appended (part of) the delta before the fit
-            # failed — a too-short history fails *after* its rows land.
-            # Advance the cursor by exactly that amount or the next fit
-            # would re-send the rows and corrupt the replica.
-            state.synced += getattr(error, "worker_reply", {}).get("appended", 0)
-            raise
-        state.synced += len(rows)
-        return fitted
+            (reply,) = self._fit_many_locked(shard, [state])
+        if reply["ok"]:
+            return reply["value"], reply["seconds"]
+        raise _reply_error(shard, reply)
 
     @staticmethod
     def _is_infrastructure_error(error: EstimationError) -> bool:
-        """A broken shard must surface from a burst, not be skipped as
-        "cannot fit yet" (which would silently serve stale snapshots)."""
+        """A broken shard must surface from a batch refresh, not be
+        recorded as "cannot fit yet" (which would silently serve stale
+        snapshots)."""
         return isinstance(error, ShardedServingError)
-
-    def _fit_stale(
-        self, stale: list[str], parallel: bool
-    ) -> dict[str, FittedCostModel | None]:
-        """One parent thread per busy shard issues that shard's fit
-        RPCs; the actual fitting runs in the worker processes, so a
-        burst overlaps across cores with no GIL contention."""
-        by_shard: dict[int, list[str]] = {}
-        for key in stale:
-            by_shard.setdefault(self.shard_of(key), []).append(key)
-        results: dict[str, FittedCostModel | None] = {}
-        if parallel and len(by_shard) > 1:
-            width = min(self.max_workers, len(by_shard))
-
-            def fit_group(group: list[str]) -> list[tuple[str, FittedCostModel | None]]:
-                return [(key, self._try_model(key)) for key in group]
-
-            with ThreadPoolExecutor(
-                max_workers=width, thread_name_prefix="shard-burst"
-            ) as pool:
-                for fitted in pool.map(fit_group, by_shard.values()):
-                    results.update(fitted)
-        else:
-            for key in stale:
-                results[key] = self._try_model(key)
-        return results
 
     def _fit_batch(
         self, stale: list[str]
     ) -> dict[str, FittedCostModel | EstimationError]:
         """One coalesced ``fit_many`` RPC per busy shard.
 
-        The batch-first transport the front door flushes through: every
-        shard receives its whole stale group (templates + row deltas) in
-        a single pipe round-trip instead of one ``fit`` RPC per
-        template.  Groups on different shards fan out across parent
-        threads exactly like :meth:`_fit_stale` bursts.
+        Every shard receives its whole stale group (templates + row
+        deltas) in a single pipe round-trip.  Groups on different
+        shards fan out across one parent thread per busy shard; the
+        fitting itself runs in the worker processes, so the groups
+        overlap across cores with no GIL contention.
         """
         by_shard: dict[int, list[str]] = {}
         for key in stale:
@@ -565,9 +507,8 @@ class ShardedEstimationService(BaseEstimationService):
         groups = list(by_shard.values())
         outcomes: dict[str, FittedCostModel | EstimationError] = {}
         if len(groups) > 1:
-            width = min(self.max_workers, len(groups))
             with ThreadPoolExecutor(
-                max_workers=width, thread_name_prefix="shard-batch"
+                max_workers=len(groups), thread_name_prefix="shard-batch"
             ) as pool:
                 for fitted in pool.map(self._fit_group, groups):
                     outcomes.update(fitted)
@@ -621,67 +562,62 @@ class ShardedEstimationService(BaseEstimationService):
                 shard = self._shards[index]
                 pending = by_shard[index]
                 with self._queue_slot(shard), shard.lock:
-                    started = time.perf_counter()
-                    try:
-                        replies = self._fit_many_locked(shard, pending)
-                    except WorkerCrashError:
-                        # The replay resets every sync cursor; the retry
-                        # recomputes its deltas against the fresh replica.
-                        self._respawn_locked(shard)
-                        replies = self._fit_many_locked(shard, pending)
-                    per_item = (time.perf_counter() - started) / len(pending)
-                    for (state, version), reply in zip(pending, replies):
-                        # Cursor math holds for success and failure
-                        # alike: the worker reports what actually landed.
-                        state.synced += reply.get("appended", 0)
-                        if reply["ok"]:
-                            state.snapshot = reply["value"]
-                            state.snapshot_version = version
-                            with self._stats_lock:
-                                self._fits += 1
-                            self._note_template_fit(state, per_item)
-                            outcomes[state.key] = reply["value"]
-                            continue
-                        kind, text = reply["kind"], reply["error"]
-                        if kind == "estimation":
-                            # "Cannot fit yet" — isolated, never poisons
-                            # the shard-mates.
-                            outcomes[state.key] = EstimationError(text)
-                        elif deferred is None:
-                            # Validation/internal failures surface
-                            # exactly as the single-call path raises
-                            # them — but only after every reply's
-                            # bookkeeping has landed.
-                            if kind == "validation":
-                                deferred = ValidationError(text)
-                            elif kind == "stale_route":
-                                deferred = StaleRouteError(
-                                    f"shard {shard.index}: {text}"
-                                )
-                            else:
-                                deferred = ShardedServingError(
-                                    f"shard {shard.index}: {text}"
-                                )
+                    replies = self._fit_many_locked(
+                        shard, [state for state, _version in pending]
+                    )
+                for (state, version), reply in zip(pending, replies):
+                    if reply["ok"]:
+                        outcomes[state.key] = self._install_fit(
+                            state, version, reply["value"], reply["seconds"]
+                        )
+                    elif reply["kind"] == "estimation":
+                        # "Cannot fit yet" — isolated, never poisons the
+                        # shard-mates.
+                        outcomes[state.key] = _reply_error(shard, reply)
+                    elif deferred is None:
+                        # Validation/internal failures surface exactly as
+                        # the single-call path raises them — but only
+                        # after every reply's bookkeeping has landed.
+                        deferred = _reply_error(shard, reply)
             if deferred is not None:
                 raise deferred
         return outcomes
 
-    def _fit_many_locked(
-        self, shard: _Shard, pending: list[tuple[_Template, int]]
-    ) -> list[dict]:
-        """Issue one ``fit_many`` for the shard's pending group (caller
-        holds the template locks and the shard lock)."""
-        items = []
-        for state, _version in pending:
-            rows = self._encode_rows(state, start=state.synced)
-            items.append(
-                {
-                    "key": state.key,
-                    "rows": rows,
-                    "expected_size": state.synced + len(rows),
-                }
-            )
-        return self._call_locked(shard, {"op": "fit_many", "items": items})
+    def _fit_many_locked(self, shard: _Shard, states: list[_Template]) -> list[dict]:
+        """Issue one ``fit_many`` for ``states`` (caller holds their
+        template locks and the shard lock) and return the per-item
+        replies.
+
+        The row deltas are computed *under the shard lock*, so they are
+        always relative to what the replica actually holds.  A crashed
+        worker is respawned and the call retried once: the replay resets
+        every sync cursor, and the retry recomputes its deltas against
+        the fresh replica.  Each cursor then advances by what its reply
+        says actually landed — success and failure alike, since a
+        too-short history fails *after* its rows were appended.
+        """
+
+        def ship() -> list[dict]:
+            items = []
+            for state in states:
+                rows = self._encode_rows(state, start=state.synced)
+                items.append(
+                    {
+                        "key": state.key,
+                        "rows": rows,
+                        "expected_size": state.synced + len(rows),
+                    }
+                )
+            return self._call_locked(shard, {"op": "fit_many", "items": items})
+
+        try:
+            replies = ship()
+        except WorkerCrashError:
+            self._respawn_locked(shard)
+            replies = ship()
+        for state, reply in zip(states, replies):
+            state.synced += reply["appended"]
+        return replies
 
     # Elastic topology -----------------------------------------------------
 
@@ -912,8 +848,8 @@ class ShardedEstimationService(BaseEstimationService):
     # Introspection --------------------------------------------------------
 
     def rpc_counts(self) -> dict[str, int]:
-        """Requests issued per RPC op since construction (``fit``,
-        ``fit_many``, ``register``, ...).  The batching guarantees are
+        """Requests issued per RPC op since construction (``fit_many``,
+        ``register``, ``extend``, ...).  The batching guarantees are
         asserted against these counters, never against timing."""
         with self._stats_lock:
             return dict(self._rpc_ops)

@@ -8,9 +8,9 @@ engines and :class:`~repro.core.cache.ModelCache`) from a picklable
 zero-argument ``strategy_factory``, and owns a private replica of every
 history assigned to its shard.  The parent process keeps the
 authoritative histories and streams row deltas to the worker lazily,
-right before each fit, so the replica is bitwise-identical to the
-parent's history at every fit point — which is what makes replay after
-a crash deterministic.
+inside each ``fit_many`` request, so the replica is bitwise-identical
+to the parent's history at every fit point — which is what makes replay
+after a crash deterministic.
 
 RPC protocol
 ------------
@@ -32,8 +32,6 @@ Request shapes (``rows`` is ``[(tick, {feature: value}, {metric: value}),
     {"op": "register", "key": str,
      "feature_names": tuple[str, ...], "metrics": tuple[str, ...]}
     {"op": "extend",   "key": str, "rows": list}         -> new size
-    {"op": "fit",      "key": str, "rows": list,
-     "expected_size": int}                               -> FittedCostModel
     {"op": "fit_many", "items": [{"key", "rows", "expected_size"}, ...]}
                           -> [{"key", "ok", ...}, ...] (see below)
     {"op": "forget",   "key": str, "route_v": int}       -> None
@@ -54,26 +52,26 @@ never as a soft "cannot fit yet" — because a fit landing on a forgotten
 replica would mean the atomic route flip was not atomic after all.  A
 later ``register`` (the key migrating back) clears the tombstone.
 
-``fit_many`` is the batch-first sibling of ``fit``: one round-trip
-carries every stale template of the shard plus its coalesced row delta,
-and the reply isolates failures per item — each element is either
-``{"key", "ok": True, "value": FittedCostModel, "appended": int}`` or
-``{"key", "ok": False, "kind", "error", "appended": int}``.  A failing
-tenant never voids its shard-mates' fits, and ``appended`` lets the
-parent advance each sync cursor by what actually landed.
+``fit_many`` is the only fit op — a single-template fit is a one-item
+``fit_many``.  One round-trip carries every stale template of the shard
+plus its coalesced row delta, and the reply isolates failures per item —
+each element is either ``{"key", "ok": True, "value": FittedCostModel,
+"appended": int, "seconds": float}`` or ``{"key", "ok": False, "kind",
+"error", "appended": int}``.  A failing tenant never voids its
+shard-mates' fits.  ``seconds`` is the worker's own wall time for that
+item's append-and-fit, the per-template heat sample the parent's load
+accounting records.  ``appended`` is how many of the item's rows the
+replica appended: a too-short history fails *after* its delta landed,
+and the parent must advance its sync cursor by exactly that amount or
+the next fit would re-send the rows and corrupt the replica's tick
+order.
 
 Reply shapes::
 
     {"ok": True,  "value": <op-specific value>}
     {"ok": False, "kind": "validation" | "estimation" | "stale_route"
                           | "internal",
-     "error": str, ...}
-
-A failed ``fit`` reply additionally carries ``"appended": int`` — how
-many of the request's rows the replica appended before the failure.  A
-too-short history fails *after* the delta landed, and the parent must
-advance its sync cursor by exactly that amount or the next fit would
-re-send the rows and corrupt the replica's tick order.
+     "error": str}
 
 ``kind`` preserves the parent-side exception taxonomy across the
 process boundary: ``validation`` re-raises as
@@ -83,7 +81,7 @@ short to fit" keeps its type through the gateway), ``stale_route`` as
 a :class:`~repro.serving.sharded.StaleRouteError`, and ``internal`` as
 a :class:`~repro.serving.sharded.ShardedServingError`.
 
-The ``fit`` request carries ``expected_size`` — the parent's history
+Each ``fit_many`` item carries ``expected_size`` — the parent's history
 size after the delta — as a desync tripwire: a replica that disagrees
 refuses to fit instead of silently training on a torn window.
 """
@@ -103,8 +101,9 @@ Row = tuple[int, dict[str, float], dict[str, float]]
 #: Wire-protocol version stamped on every request.  Bumped whenever a
 #: message shape changes incompatibly (v2 added ``fit_many`` and the
 #: version field itself; v3 added ``forget``/``hang`` and the
-#: ``stale_route`` error kind); parent and workers must match exactly.
-PROTOCOL_VERSION = 3
+#: ``stale_route`` error kind; v4 removed ``fit`` and added the per-item
+#: ``seconds``); parent and workers must match exactly.
+PROTOCOL_VERSION = 4
 
 
 def strategy_from_config(config):
@@ -150,15 +149,6 @@ def _extend(history: ExecutionHistory, rows: Iterable[Row]) -> int:
     for tick, features, costs in rows:
         history.append(tick, features, costs)
     return history.size
-
-
-class _OpError(Exception):
-    """Wraps a handler failure with op-specific reply extras."""
-
-    def __init__(self, error: BaseException, extras: dict):
-        super().__init__(str(error))
-        self.error = error
-        self.extras = extras
 
 
 class _StaleRouteReference(Exception):
@@ -214,40 +204,8 @@ class _WorkerState:
             return None
         if op == "extend":
             return _extend(self._history(message["key"]), message["rows"])
-        if op == "fit":
-            return self._fit_one(
-                message["key"], message["rows"], message["expected_size"]
-            )
         if op == "fit_many":
-            # Per-item isolation: each item either fits or carries its
-            # own typed failure; a broken tenant never voids the batch.
-            results = []
-            for item in message["items"]:
-                key = item["key"]
-                try:
-                    fitted = self._fit_one(
-                        key, item["rows"], item["expected_size"]
-                    )
-                except _OpError as wrapped:
-                    results.append(
-                        {
-                            "key": key,
-                            "ok": False,
-                            "kind": _error_kind(wrapped.error),
-                            "error": str(wrapped.error),
-                            **wrapped.extras,
-                        }
-                    )
-                else:
-                    results.append(
-                        {
-                            "key": key,
-                            "ok": True,
-                            "value": fitted,
-                            "appended": len(item["rows"]),
-                        }
-                    )
-            return results
+            return [self._fit_item(item) for item in message["items"]]
         if op == "stats":
             engine_cache = getattr(self.modelling.strategy, "engine_cache", None)
             return {
@@ -258,27 +216,42 @@ class _WorkerState:
             }
         raise RuntimeError(f"unknown worker op {op!r}")
 
-    def _fit_one(self, key: str, rows: Iterable[Row], expected: int):
-        """Append one template's delta and refit it (``fit`` semantics;
-        ``fit_many`` calls this once per item)."""
+    def _fit_item(self, item: dict) -> dict:
+        """Append one ``fit_many`` item's row delta and refit it; the
+        item's reply isolates its failure from its shard-mates."""
+        key = item["key"]
+        started = time.perf_counter()
         appended = 0
         try:
             history = self._history(key)
-            for tick, features, costs in rows:
+            for tick, features, costs in item["rows"]:
                 history.append(tick, features, costs)
                 appended += 1
-            if history.size != expected:
+            if history.size != item["expected_size"]:
                 raise RuntimeError(
                     f"shard replica desync for {key!r}: replica has "
-                    f"{history.size} rows, parent expected {expected}"
+                    f"{history.size} rows, parent expected "
+                    f"{item['expected_size']}"
                 )
             fitted = self.modelling.fit(key)
-        except BaseException as error:  # noqa: BLE001 - reply carries it
+        except BaseException as error:  # noqa: BLE001 - the reply carries it
             # The parent's sync cursor must advance by what actually
             # landed, even though the fit failed (see module docs).
-            raise _OpError(error, {"appended": appended}) from error
+            return {
+                "key": key,
+                "ok": False,
+                "kind": _error_kind(error),
+                "error": str(error),
+                "appended": appended,
+            }
         self.fits += 1
-        return fitted
+        return {
+            "key": key,
+            "ok": True,
+            "value": fitted,
+            "appended": appended,
+            "seconds": time.perf_counter() - started,
+        }
 
     def _history(self, key: str) -> ExecutionHistory:
         try:
@@ -407,13 +380,6 @@ def worker_main(conn, strategy_factory) -> None:
             continue
         try:
             reply = {"ok": True, "value": state.handle(message)}
-        except _OpError as wrapped:
-            reply = {
-                "ok": False,
-                "kind": _error_kind(wrapped.error),
-                "error": str(wrapped.error),
-                **wrapped.extras,
-            }
         except BaseException as error:  # noqa: BLE001 - serialise everything
             reply = {"ok": False, "kind": _error_kind(error), "error": str(error)}
         try:

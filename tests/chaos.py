@@ -147,7 +147,8 @@ def replay_script(script, keys, sharded, threaded, *, faults=(), seed=23,
     Script entries are ``(index, op)`` with ``op`` one of ``observe``
     (next row of tenant ``index % len(keys)``'s deterministic stream),
     ``fit`` (single-template model, failure parity included), ``batch``
-    (coalesced ``refresh_batch``) and ``burst`` (parallel ``refresh``).
+    (coalesced ``refresh_batch``, models and errors) and ``burst``
+    (``refresh_batch``, models only).
     Ends with a full sweep plus the fit-counter equality check.
     """
     log = log if log is not None else ChaosLog()
@@ -187,8 +188,8 @@ def replay_script(script, keys, sharded, threaded, *, faults=(), seed=23,
                     fitted_key, sharded_result.models[fitted_key], threaded_model
                 )
         else:  # burst
-            sharded_models = sharded.refresh(parallel=True)
-            threaded_models = threaded.refresh(parallel=True)
+            sharded_models = sharded.refresh_batch().models
+            threaded_models = threaded.refresh_batch().models
             assert sorted(sharded_models) == sorted(threaded_models)
             for fitted_key, threaded_model in threaded_models.items():
                 assert_models_bitwise_equal(
@@ -198,8 +199,8 @@ def replay_script(script, keys, sharded, threaded, *, faults=(), seed=23,
     # sweep itself must still agree through them.
     while pending:
         _apply(pending.pop(0), sharded, keys, log)
-    final_sharded = sharded.refresh(parallel=False)
-    final_threaded = threaded.refresh(parallel=False)
+    final_sharded = sharded.refresh_batch().models
+    final_threaded = threaded.refresh_batch().models
     assert sorted(final_sharded) == sorted(final_threaded)
     for key, threaded_model in final_threaded.items():
         assert_models_bitwise_equal(key, final_sharded[key], threaded_model)

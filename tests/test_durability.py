@@ -18,6 +18,7 @@ Layered like the subsystem itself:
 
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -30,10 +31,11 @@ from repro.federation import (
     FederationConfig,
     GatewayConfigError,
     ObserveRequest,
+    Principal,
     RebalanceConfig,
 )
 from repro.governance import GovernanceConfig, verify_chain, verify_chain_file
-from repro.midas import MidasSystem
+from repro.midas import MEDICAL_QUERIES, MidasSystem
 from repro.serving import ShardedEstimationService
 from repro.serving.topology import Migration, RebalancePlan
 from tests.chaos import (
@@ -379,6 +381,59 @@ class TestCrashRecovery:
         segments = wal.list_segments(tmp_path)
         assert len(segments) <= 2
         assert (tmp_path / wal.CHECKPOINT_NAME).exists()
+
+
+class TestRejectedIngestTick:
+    """A flushed ingest row that fails at execution consumed its tick
+    at admission; the journal must carry that tick, or a recovered
+    gateway's counter drifts behind the uninterrupted one's."""
+
+    TOP_N = "medical-demographics-top-n"  # Example 2.1 plus "limit {n}"
+    CLINICIAN = Principal("dr-adams", "clinician", "cloud-a")
+
+    def _system(self, directory) -> MidasSystem:
+        config = gateway_config(
+            "threaded",
+            durability=DurabilityConfig(dir=directory, fsync="off"),
+            governance=GovernanceConfig(require_identity=True),
+        )
+        midas = MidasSystem(patient_count=250, seed=83, config=config)
+        base = MEDICAL_QUERIES[KEY]
+        midas.gateway.register_template(
+            replace(base, key=self.TOP_N, template=base.template + "limit {n}\n")
+        )
+        return midas
+
+    @pytest.mark.parametrize("kind", ["denied", "prepare"])
+    def test_failed_row_tick_survives_recovery(self, tmp_path, kind):
+        midas = self._system(tmp_path)
+        gateway = midas.gateway
+        try:
+            for age in (30, 40, 50):
+                gateway.ingest(
+                    ObserveRequest(KEY, {"min_age": age}, principal=self.CLINICIAN)
+                )
+            assert gateway.drain().failed == 0
+            if kind == "denied":
+                # Anonymous under require_identity: denied at the flush.
+                bad = ObserveRequest(KEY, {"min_age": 60})
+            else:
+                # Passes the parameter check, fails to parse at the flush.
+                bad = ObserveRequest(
+                    self.TOP_N, {"min_age": 30, "n": 2.5}, principal=self.CLINICIAN
+                )
+            ticket = gateway.ingest(bad)
+            assert gateway.drain().failed == 1 and ticket.error is not None
+            expected = gateway.next_tick()
+            assert expected == 4
+        finally:
+            gateway.close()
+        revived = self._system(tmp_path)
+        try:
+            assert revived.gateway.recover().rows == 3
+            assert revived.gateway.next_tick() == expected
+        finally:
+            revived.gateway.close()
 
 
 # ---------------------------------------------------------------------------

@@ -293,6 +293,36 @@ class TestCloseWhileDraining:
         gateway.close()
         assert len(gateway.drain()) == 0
 
+    @pytest.mark.parametrize("backend", ["threaded", "sharded"])
+    def test_closed_gateway_refuses_single_call_traffic(self, backend):
+        config = FederationConfig(
+            serving_backend=backend, shard_workers=2, max_window=24
+        )
+        midas = make_midas(seed=83, config=config)
+        gateway = midas.gateway
+        rng = RngStream(21, "closed")
+        gateway.close()
+        size, tick = gateway.history(KEY).size, gateway._tick
+        calls = {
+            "observe": lambda: gateway.observe(observe_request(rng)),
+            "submit": lambda: gateway.submit(submit_request(rng)),
+            "submit_many": lambda: gateway.submit_many([submit_request(rng)]),
+            "session": lambda: gateway.session(KEY),
+            "refresh": gateway.refresh,
+            "refresh keys": lambda: gateway.refresh([KEY]),
+            "model": lambda: gateway.model(KEY),
+        }
+        for call in calls.values():
+            with pytest.raises(SessionStateError, match="closed"):
+                call()
+        # Refused before any state was touched.
+        assert gateway.history(KEY).size == size
+        assert gateway._tick == tick
+        # The read-only surfaces keep working.
+        assert KEY in gateway.templates()
+        assert gateway.serving_report().backend == backend
+        assert len(gateway.drain()) == 0
+
 
 @pytest.mark.slow
 class TestBlockingStall:
@@ -474,8 +504,8 @@ class TestShardedBatching:
         fit_many = after.get("fit_many", 0) - before.get("fit_many", 0)
         busy_shards = len({serving.shard_of(KEY), serving.shard_of(KEY2)})
         assert 1 <= fit_many <= busy_shards
-        # The batched path never falls back to per-template fit RPCs.
-        assert after.get("fit", 0) == before.get("fit", 0)
+        # fit_many is the only fit op on the wire.
+        assert "fit" not in after
         gateway.close()
 
     def test_backlog_reported_per_shard(self):

@@ -58,8 +58,6 @@ class TestShardedFunctional:
         with pytest.raises(ValidationError):
             ShardedEstimationService(factory, workers=0)
         with pytest.raises(ValidationError):
-            ShardedEstimationService(factory, workers=2, max_workers=0)
-        with pytest.raises(ValidationError):
             ShardedEstimationService(factory, workers=2, rpc_timeout=0.0)
 
     def test_shard_assignment_is_stable_and_total(self, sharded):
@@ -109,17 +107,17 @@ class TestShardedFunctional:
             for metric in METRICS:
                 assert batched[metric][i] == pytest.approx(single[metric], rel=1e-12)
 
-    def test_refresh_parallel_and_sequential_agree(self, sharded):
+    def test_refresh_batch_reuses_fresh_snapshots(self, sharded):
         keys = [f"q{i}" for i in range(5)]
         for key in keys:
             sharded.register(key, feature_names=FEATURES, metrics=METRICS)
             feed(sharded, key, 12, seed=3)
-        parallel = sharded.refresh(parallel=True)
-        assert sorted(parallel) == keys
-        # Re-refresh sequentially: everything fresh -> same snapshots.
-        sequential = sharded.refresh(parallel=False)
+        first = sharded.refresh_batch().models
+        assert sorted(first) == keys
+        # Re-refresh: everything fresh -> same snapshots.
+        second = sharded.refresh_batch().models
         for key in keys:
-            assert sequential[key] is parallel[key]
+            assert second[key] is first[key]
 
     def test_failed_fit_keeps_replica_in_sync(self, sharded):
         """Regression (found by hypothesis): a fit on a too-short
@@ -143,7 +141,7 @@ class TestShardedFunctional:
         sharded.register("ready", feature_names=FEATURES, metrics=METRICS)
         sharded.register("empty", feature_names=FEATURES, metrics=METRICS)
         feed(sharded, "ready", 12)
-        models = sharded.refresh()
+        models = sharded.refresh_batch().models
         assert "ready" in models and "empty" not in models
 
     def test_stats_aggregate_engine_caches_across_workers(self, sharded):
@@ -151,13 +149,13 @@ class TestShardedFunctional:
         for key in keys:
             sharded.register(key, feature_names=FEATURES, metrics=METRICS)
             feed(sharded, key, 12, seed=5)
-        sharded.refresh()
-        sharded.refresh()  # all fresh: no new fits
+        sharded.refresh_batch()
+        sharded.refresh_batch()  # all fresh: no new fits
         stats = sharded.stats
         assert stats.templates == 6
         assert stats.fits == 6
         assert stats.observations == 6 * 12
-        assert stats.bursts == 2
+        assert stats.batch_refreshes == 2
         # One engine miss per template, summed across both workers.
         assert stats.engine_cache is not None
         assert stats.engine_cache.misses == 6
@@ -413,10 +411,10 @@ class TestLoadAccounting:
             before = sharded.rpc_counts()
             result = sharded.refresh_batch()
             after = sharded.rpc_counts()
-            # One coalesced fit_many for the whole round, zero fallback
-            # per-template fit RPCs.
+            # One coalesced fit_many for the whole round, and no other
+            # fit op exists.
             assert after.get("fit_many", 0) - before.get("fit_many", 0) == 1
-            assert after.get("fit", 0) == before.get("fit", 0)
+            assert "fit" not in after
             assert "warm" in result.models and "short" in result.errors
             # The failed fit still shipped its rows (the replica stays
             # in sync), so the backlog fully drains.
@@ -441,6 +439,72 @@ class TestLoadAccounting:
         assert template.key == "q1" and template.shard == home
         assert template.fits == 1
         assert template.fit_seconds_ewma is not None
+
+
+class TestOneFitTransport:
+    """Every sharded fit — single-call ``model()`` included — is a
+    ``fit_many`` RPC, and each item's worker-measured seconds is that
+    template's heat sample."""
+
+    def test_model_issues_one_fit_many_and_no_fit(self, sharded):
+        sharded.register("q1", feature_names=FEATURES, metrics=METRICS)
+        feed(sharded, "q1", 12)
+        before = sharded.rpc_counts()
+        sharded.model("q1")
+        after = sharded.rpc_counts()
+        assert after.get("fit_many", 0) - before.get("fit_many", 0) == 1
+        assert "fit" not in after
+
+    def test_too_short_model_raises_and_drains_the_backlog(self, sharded):
+        sharded.register("q1", feature_names=FEATURES, metrics=METRICS)
+        feed(sharded, "q1", 3)  # below the minimum window (L + 2 = 4)
+        with pytest.raises(EstimationError):
+            sharded.model("q1")
+        # The rows landed before the fit failed; the cursor advanced by
+        # the reply's ``appended``, so nothing is left to ship.
+        home = sharded.shard_of("q1")
+        assert sharded.shard_loads()[home].backlog == 0
+        (template,) = sharded.template_loads()
+        assert template.backlog == 0 and template.fits == 0
+
+    def test_worker_refuses_the_removed_fit_op(self, sharded):
+        from repro.serving import PROTOCOL_VERSION
+
+        assert PROTOCOL_VERSION == 4
+        sharded.register("q1", feature_names=FEATURES, metrics=METRICS)
+        shard = sharded._shards[sharded.shard_of("q1")]
+        message = {"op": "fit", "key": "q1", "rows": [], "expected_size": 0}
+        with shard.lock:
+            with pytest.raises(ShardedServingError, match="unknown worker op 'fit'"):
+                sharded._call_locked(shard, message)
+            # The worker survives the refusal and keeps serving.
+            assert sharded._call_locked(shard, {"op": "ping"}) == "pong"
+
+    def test_heat_is_each_items_own_worker_seconds(self):
+        with ShardedEstimationService(factory, workers=1) as sharded:
+            keys = ["large", "small"]
+            for key in keys:
+                sharded.register(key, feature_names=FEATURES, metrics=METRICS)
+            feed(sharded, "small", 8)
+            feed(sharded, "large", 40)
+            replies = []
+            call = sharded._call_locked
+
+            def recording_call(shard, message):
+                reply = call(shard, message)
+                if message["op"] == "fit_many":
+                    replies.extend(reply)
+                return reply
+
+            sharded._call_locked = recording_call
+            result = sharded.refresh_batch(keys)
+            assert sorted(result.models) == keys
+            seconds = {reply["key"]: reply["seconds"] for reply in replies}
+            assert sorted(seconds) == keys  # one fit_many carried both
+            heat = {load.key: load.fit_seconds_ewma for load in sharded.template_loads()}
+            # First fit: the EWMA is exactly the item's own sample, not a
+            # group average shared by the shard-mates.
+            assert heat == seconds
 
 
 class TestElasticTopology:
@@ -509,7 +573,7 @@ class TestElasticTopology:
             for key in keys:
                 sharded.register(key, feature_names=FEATURES, metrics=METRICS)
                 feed(sharded, key, 12, seed=7)
-            before = sharded.refresh(parallel=False)
+            before = sharded.refresh_batch().models
             assert sharded.resize(2) == 2
             assert sharded.workers == 2
             # Every tenant landed on its CRC32 placement in the smaller
@@ -518,7 +582,7 @@ class TestElasticTopology:
             for key in keys:
                 assert sharded.shard_of(key) == shard_of(key, 2)
             # Models survive: nothing was stale, so nothing refits.
-            after = sharded.refresh(parallel=False)
+            after = sharded.refresh_batch().models
             for key in keys:
                 assert after[key] is before[key]
 
