@@ -33,14 +33,25 @@ Two estimators implement the algorithm:
   on ``history.version``: consecutive optimizer calls between executions
   reuse the cached fit outright, a version bump folds only the *new*
   observations into per-metric buffers, and the ``m += 1`` widening loop
-  grows each metric's window by an O(L^2) rank-one update of the normal
-  equations (:class:`~repro.ml.linear.RecursiveLeastSquares`) instead of
-  an O(m L^2) refit.
+  grows each metric's window by a rank-one update
+  (:class:`~repro.ml.linear.RecursiveLeastSquares`) instead of an
+  O(m L^2) refit.  The update runs on the window's *active* columns:
+  features constant over the window (on MIDAS, a table size that does
+  not vary with the query's parameters) are dropped, the rest are
+  centred and scaled, so the carry stays well-conditioned on windows
+  whose full normal matrix is singular.  The carry is re-anchored exactly
+  when a column turns active or at a fixed step cadence; only a window
+  whose reduced design is still ill-conditioned (exactly collinear
+  non-constant columns) is refitted on the batch oracle's exact path.
+  Each metric's model is built once, at its stop window.
 
 Both estimators freeze a metric's model at its first convergence (its
 R^2 met the requirement at window ``m``); later widening steps — forced
 by slower metrics — neither refit it nor allow its reported R^2 to drop
-back below the threshold.
+back below the threshold.  Both return pinv's minimum-norm coefficients
+on rank-deficient windows, so they also agree at feature values outside
+the window (e.g. a candidate plan whose table size differs from the
+constant one the window saw).
 
 Batched prediction: :meth:`DreamResult.predict_batch` costs an entire
 QEP candidate set (Example 3.1: thousands of equivalent plans) with one
@@ -304,11 +315,11 @@ class OnlineDreamEstimator(DreamEstimator):
       observations appended since the last call into flat numpy buffers
       (the history is append-only, so earlier rows never change).
     * **Rank-one widening** — each ``m += 1`` step updates the per-metric
-      :class:`~repro.ml.linear.RecursiveLeastSquares` state in O(L^2),
-      and the PRESS statistic rides along incrementally
-      (``track_press=True``): its leverages and residuals are carried by
-      the same rank-one identities, so the whole step is O(L^2 + m)
-      rather than an O(m L^2) hat-matrix pass.
+      :class:`~repro.ml.linear.RecursiveLeastSquares` state in O(L^2) on
+      the window's active columns, and the PRESS statistic rides along
+      incrementally (``track_press=True``): its leverages and residuals
+      are carried by the same rank-one identities, so the whole step is
+      O(L^2 + m L) rather than an O(m L^2) hat-matrix pass.
 
     An estimator instance holds state for exactly one history; passing a
     different history object resets it.
@@ -379,19 +390,14 @@ class OnlineDreamEstimator(DreamEstimator):
         m, m_max = self._window_bounds(dimension, total)
 
         X = self._features
-        states: dict[str, RecursiveLeastSquares] = {}
-        mins: dict[str, float] = {}
-        maxs: dict[str, float] = {}
         track_press = self.r2_mode == "press"
+        states: dict[str, RecursiveLeastSquares] = {}
         for metric in metrics:
             rls = RecursiveLeastSquares(dimension, track_press=track_press)
             y = self._metric_targets[metric]
             for i in range(total - m, total):
                 rls.update(X[i], y[i])
             states[metric] = rls
-            window = y[total - m : total]
-            mins[metric] = float(window.min())
-            maxs[metric] = float(window.max())
 
         models: dict[str, MultipleLinearRegression] = {}
         r2: dict[str, float] = {metric: 0.0 for metric in metrics}
@@ -399,47 +405,27 @@ class OnlineDreamEstimator(DreamEstimator):
         ranges: dict[str, tuple[float, float]] = {}
         pending = set(metrics)
 
+        def stop(metric: str) -> None:
+            # The model is built once, at the metric's stop window.
+            models[metric] = states[metric].as_model()
+            window_sizes[metric] = m
+            window = self._metric_targets[metric][total - m : total]
+            ranges[metric] = (float(window.min()), float(window.max()))
+
         while True:
             for metric in metrics:
                 if metric not in pending:
                     continue
                 rls = states[metric]
-                window_x = X[total - m : total]
-                window_y = self._metric_targets[metric][total - m : total]
-                if rls.well_conditioned():
-                    if self.r2_mode == "press":
-                        # Rank-one PRESS: the leverages/residuals were
-                        # carried through each update, so this is O(m)
-                        # instead of a fresh O(m L^2) hat-matrix pass.
-                        score = rls.press_r_squared_tracked()
-                        models[metric] = rls.as_model(press_r_squared=score)
-                    else:
-                        score = rls.r_squared
-                        models[metric] = rls.as_model()
-                else:
-                    # Rank-deficient window: the normal-equation shortcut
-                    # loses too many digits; take the oracle's exact path
-                    # (full refit) for this window so incremental and
-                    # batch stay equivalent.  The RLS statistics keep
-                    # accumulating for later, better-conditioned windows.
-                    model = MultipleLinearRegression()
-                    model.fit(window_x, window_y)
-                    models[metric] = model
-                    score = (
-                        model.press_r_squared_
-                        if self.r2_mode == "press"
-                        else model.r_squared_
-                    )
+                score = rls.press_r_squared_tracked() if track_press else rls.r_squared
                 r2[metric] = score
                 if score >= self._required(metric):
                     pending.discard(metric)
-                    window_sizes[metric] = m
-                    ranges[metric] = (mins[metric], maxs[metric])
+                    stop(metric)
             converged = not pending
             if converged or m >= m_max:
                 for metric in pending:
-                    window_sizes[metric] = m
-                    ranges[metric] = (mins[metric], maxs[metric])
+                    stop(metric)
                 return DreamResult(
                     models=models,
                     window_size=m,
@@ -452,10 +438,7 @@ class OnlineDreamEstimator(DreamEstimator):
             m += 1
             oldest = total - m  # the one older row the wider window adds
             for metric in pending:
-                y = float(self._metric_targets[metric][oldest])
-                states[metric].update(X[oldest], y)
-                mins[metric] = min(mins[metric], y)
-                maxs[metric] = max(maxs[metric], y)
+                states[metric].update(X[oldest], self._metric_targets[metric][oldest])
 
     def estimate_cost_values(  # type: ignore[override]
         self, history: ExecutionHistory, features

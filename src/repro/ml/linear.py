@@ -1,53 +1,60 @@
 """Multiple Linear Regression, the foundation of DREAM (paper §2.5).
 
 Solves ``B = (A^T A)^-1 A^T C`` (paper Eq. 12) for the design matrix with
-an intercept column (Eq. 8).  A pseudo-inverse is used when the normal
-matrix is singular (e.g. constant features inside a small window), which
-returns the minimum-norm solution instead of failing.
+an intercept column (Eq. 8).  Windows are often rank-deficient (a feature
+constant over the window duplicates the intercept direction), so the fit
+is pinv's minimum-norm solution, read off one thin SVD of the design.
 
 Two implementations share the algebra:
 
 * :class:`MultipleLinearRegression` — the batch fit/predict regressor
   used by the BML pool and kept as DREAM's reference oracle.
 * :class:`RecursiveLeastSquares` — an incremental core for Algorithm 1's
-  ``m += 1`` loop: the normal matrix ``A^T A`` and moment vector
-  ``A^T c`` grow by rank-one updates and the inverse is maintained with
-  the Sherman-Morrison identity, so widening the window by one
-  observation costs O(L^2) instead of a full O(m L^2) refit.
+  ``m += 1`` loop.  It drops the columns that are constant over the
+  window, centres and scales the rest, and carries the inverse normal
+  matrix and the coefficients on that reduced basis by Sherman-Morrison
+  rank-one updates, so widening the window by one observation costs
+  O(L^2) instead of a full O(m L^2) refit.  An exact re-anchor (one thin
+  SVD of the window) runs when a column turns active or every
+  :attr:`RecursiveLeastSquares.ANCHOR_EVERY` steps; only a window whose
+  reduced design is still ill-conditioned (exactly collinear non-constant
+  columns) is fitted by the batch oracle instead.
 
-With ``track_press=True`` the recursive form also maintains the
-leave-one-out PRESS statistic incrementally: the per-row leverages and
-residuals are carried along through the same rank-one identities, so a
-widening step updates PRESS in O(L^2 + m) instead of recomputing the
-O(m L^2) hat-matrix pass (see :meth:`RecursiveLeastSquares.update`).
+With ``track_press=True`` the recursive form also carries the
+leave-one-out PRESS statistic: the per-row leverages and residuals ride
+the same rank-one identities, so a widening step updates PRESS in
+O(L^2 + m L) instead of recomputing the O(m L^2) hat-matrix pass.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from repro.common.errors import EstimationError
 from repro.ml.base import Regressor
-from repro.ml.metrics import r_squared
+from repro.ml.metrics import r_squared, total_sum_of_squares
+
+EPSILON = float(np.finfo(float).eps)
 
 
 def press_r_squared_from(
-    residuals: np.ndarray, leverages: np.ndarray, targets: np.ndarray
+    residuals: np.ndarray, leverages: np.ndarray, sst: float
 ) -> float:
     """Leave-one-out R^2 = 1 - PRESS/SST from per-row components.
 
     The single source of truth for the PRESS tail (``e_loo = e/(1-h)``,
-    leverage clip, SST zero convention, clamp at -1): the batch fit, the
-    recursive window form, and the incremental carry all feed their
-    residuals/leverages through here, so the 1e-9 batch-equivalence
-    contract cannot drift between implementations.
+    leverage clip, SST zero convention, clamp at -1): the batch fit and
+    the incremental carry both feed their residuals/leverages/SST through
+    here, so the 1e-9 batch-equivalence contract cannot drift between
+    implementations.
 
     Leverage ~1 means the point is interpolated: its LOO residual
     diverges, which correctly reads as "no predictive evidence".
     """
-    denominator = np.clip(1.0 - leverages, 1e-6, None)
-    press = float(np.sum((residuals / denominator) ** 2))
-    sst = float(np.sum((targets - targets.mean()) ** 2))
+    loo = residuals / np.maximum(1.0 - leverages, 1e-6)
+    press = float(loo @ loo)
     if sst == 0.0:
         return 1.0 if press == 0.0 else -1.0
     return max(-1.0, 1.0 - press / sst)
@@ -87,24 +94,20 @@ class MultipleLinearRegression(Regressor):
 
     def _fit(self, features: np.ndarray, targets: np.ndarray) -> None:
         design = self._design(features)
-        normal = design.T @ design
-        try:
-            self.coefficients_ = np.linalg.solve(normal, design.T @ targets)
-        except np.linalg.LinAlgError:
-            self.coefficients_ = np.linalg.pinv(design) @ targets
+        # One thin SVD: singular values under the standard rank tolerance
+        # are dropped, so the coefficients are pinv's minimum-norm
+        # solution and the leverages are the row sums of U_r^2.
+        u, s, vt = np.linalg.svd(design, full_matrices=False)
+        rank = int(np.count_nonzero(s > s[0] * max(design.shape) * EPSILON))
+        u, s, vt = u[:, :rank], s[:rank], vt[:rank]
+        self.coefficients_ = vt.T @ ((u.T @ targets) / s)
         fitted = design @ self.coefficients_
         self.r_squared_ = r_squared(targets, fitted)
-        self.press_r_squared_ = self._press_r_squared(design, targets, fitted)
-
-    @staticmethod
-    def _press_r_squared(
-        design: np.ndarray, targets: np.ndarray, fitted: np.ndarray
-    ) -> float:
-        """Leave-one-out R^2 = 1 - PRESS/SST (clipped below at -1)."""
-        residuals = targets - fitted
-        pinv_normal = np.linalg.pinv(design.T @ design)
-        leverages = np.einsum("ij,jk,ik->i", design, pinv_normal, design)
-        return press_r_squared_from(residuals, leverages, targets)
+        self.press_r_squared_ = press_r_squared_from(
+            targets - fitted,
+            np.einsum("ij,ij->i", u, u),
+            total_sum_of_squares(targets),
+        )
 
     def _predict(self, features: np.ndarray) -> np.ndarray:
         return self._design(features) @ self.coefficients_
@@ -133,353 +136,288 @@ class MultipleLinearRegression(Regressor):
 
 
 class RecursiveLeastSquares:
-    """Incremental OLS: rank-one window growth in O(L^2) per observation.
+    """Incremental OLS for a window that grows one observation at a time.
 
-    Maintains the sufficient statistics of the normal equations —
-    ``A^T A``, ``A^T c``, ``sum c``, ``sum c^2`` — plus the inverse
-    ``(A^T A)^-1`` updated with Sherman-Morrison.  Folding an observation
-    in (or out, via :meth:`downdate`) is order-independent, which is what
-    DREAM's backwards-growing window needs: the window ``m -> m + 1``
-    step adds one *older* observation to the same sufficient statistics.
+    Built for Algorithm 1's ``m += 1`` loop, where each step adds one
+    *older* observation.  The fit runs on the window's **active** columns
+    only: a feature that is constant over the window (min == max; each
+    new row is compared with the constant columns' value, O(L)) lies in
+    the span of the intercept and is dropped; the remaining columns are
+    centred and scaled once per anchor.  On that reduced basis ``Z`` the
+    inverse ``(Z^T Z)^-1`` and the coefficients are carried by
+    Sherman-Morrison, so one step costs O(L^2) plus the O(m L) carry of
+    every row's residual — and, with ``track_press=True``, its leverage
+    for the leave-one-out PRESS statistic.
 
-    The training R^2 comes straight from the maintained scalars (O(L^2));
-    the leave-one-out PRESS R^2 needs the window rows themselves (one
-    vectorised pass, see :meth:`press_r_squared`).  Both agree with the
-    batch :class:`MultipleLinearRegression` to ~1e-10 on well-conditioned
-    data; when the normal matrix is singular the inverse falls back to
-    the same pseudo-inverse the batch fit uses.
+    An **anchor** rebuilds the carry exactly from the stored window rows
+    (one thin SVD).  It runs when a column turns active (at most L times
+    as the window grows), every :attr:`ANCHOR_EVERY` rank-one steps, and
+    when the carry's conditioning guard trips.  Only a window whose
+    reduced design is still ill-conditioned — exactly collinear
+    non-constant columns — leaves the carry: it is fitted by the batch
+    :class:`MultipleLinearRegression` oracle instead.
+
+    Reported coefficients are pinv's minimum-norm solution over *all*
+    columns: the reduced intercept ``b`` is split over the intercept and
+    the window-constant columns ``c_j`` as ``b / (1 + sum c_j^2)`` and
+    ``c_j b / (1 + sum c_j^2)``, exactly what the batch fit returns.
     """
 
-    #: Windows whose normal matrix exceeds this condition number abandon
-    #: the rank-one PRESS carry and recompute on the batch oracle's exact
-    #: path: the Sherman-Morrison carry loses ~cond * eps digits per
-    #: step, and the tracked statistic must match the batch fit to 1e-9.
+    #: Upper bound on cond(Z^T Z) under which the rank-one carry runs.  It
+    #: is checked as trace(Z^T Z) over the smallest eigenvalue at the last
+    #: anchor: adding rows never lowers an eigenvalue, so the ratio bounds
+    #: the condition number in O(1) per step.  The carry loses ~cond * eps
+    #: digits per step, and the tracked PRESS must match the batch fit to
+    #: 1e-9.
     PRESS_MAX_CONDITION = 1e6
+    #: Rank-one steps between exact anchors (bounds the carry's drift).
+    ANCHOR_EVERY = 64
 
     def __init__(self, dimension: int, track_press: bool = False):
         if dimension < 1:
             raise EstimationError(f"dimension must be >= 1, got {dimension}")
         self.dimension = int(dimension)
-        k = self.dimension + 1  # intercept column
-        self._xtx = np.zeros((k, k))
-        self._xty = np.zeros(k)
-        self._sum_y = 0.0
-        self._sum_y2 = 0.0
-        self._count = 0
-        #: Maintained (A^T A)^-1 (or pseudo-inverse); None means stale.
-        self._inverse: np.ndarray | None = None
-        self._singular = False
-        #: PRESS tracking (opt-in): the window's design rows and targets
-        #: in amortised growing buffers, plus per-row leverages/residuals
-        #: carried in place by rank-one updates.  ``_press_valid`` False
-        #: means the carry is stale — the next query recomputes exactly.
         self._track_press = bool(track_press)
-        self._window_used = 0
-        self._press_valid = False
-        if track_press:
-            self._design_buf: np.ndarray | None = np.empty((16, k))
-            self._target_buf: np.ndarray | None = np.empty(16)
-            self._lev_buf: np.ndarray | None = np.empty(16)
-            self._resid_buf: np.ndarray | None = np.empty(16)
-        else:
-            self._design_buf = None
-            self._target_buf = None
-            self._lev_buf = None
-            self._resid_buf = None
-
-    # State ---------------------------------------------------------------
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    def copy(self) -> "RecursiveLeastSquares":
-        clone = RecursiveLeastSquares(self.dimension, track_press=self._track_press)
-        clone._xtx = self._xtx.copy()
-        clone._xty = self._xty.copy()
-        clone._sum_y = self._sum_y
-        clone._sum_y2 = self._sum_y2
-        clone._count = self._count
-        clone._inverse = None if self._inverse is None else self._inverse.copy()
-        clone._singular = self._singular
-        clone._window_used = self._window_used
-        clone._press_valid = self._press_valid
-        if self._track_press:
-            clone._design_buf = self._design_buf.copy()
-            clone._target_buf = self._target_buf.copy()
-            clone._lev_buf = self._lev_buf.copy()
-            clone._resid_buf = self._resid_buf.copy()
-        return clone
+        self._count = 0
+        #: Window rows (raw features), targets and the reduced basis rows
+        #: ``[1, (x_active - shift) / scale]``, in amortised buffers.
+        self._rows = np.empty((16, self.dimension))
+        self._targets = np.empty(16)
+        self._basis = np.empty((16, 1))
+        #: Carried per-row residuals, and leverages with ``track_press``.
+        self._lev = np.empty(16)
+        self._resid = np.empty(16)
+        #: Running mean and SST of the window targets (Welford).
+        self._mean = 0.0
+        self._sst = 0.0
+        # Carry state on the reduced basis, rebuilt by _anchor(): the
+        # active columns, and the window-constant ones with their values.
+        self._active = np.zeros(0, dtype=int)
+        self._constant = np.zeros(0, dtype=int)
+        self._values = np.zeros(0)
+        self._shift = np.zeros(0)
+        self._scale = np.zeros(0)
+        self._inverse = np.zeros((1, 1))
+        self._beta = np.zeros(1)
+        #: trace(Z^T Z), carried for the conditioning guard.
+        self._trace = 0.0
+        #: Smallest eigenvalue of Z^T Z at the last anchor.
+        self._floor = 0.0
+        self._steps = 0
+        #: True when the next query must anchor first.
+        self._stale = True
+        #: Whether the window runs on the carry (else on the exact path).
+        self._carry = False
+        #: The exact path's batch fit of the current window, if made.
+        self._exact: MultipleLinearRegression | None = None
 
     def _row(self, features) -> np.ndarray:
-        z = np.asarray(features, dtype=float).reshape(-1)
-        if z.shape[0] != self.dimension:
+        x = np.asarray(features, dtype=float).reshape(-1)
+        if x.shape[0] != self.dimension:
             raise EstimationError(
-                f"expected {self.dimension} features, got {z.shape[0]}"
+                f"expected {self.dimension} features, got {x.shape[0]}"
             )
-        return np.concatenate(([1.0], z))
+        return x
 
-    # Rank-one updates -----------------------------------------------------
-
-    def update(self, features, target: float) -> None:
-        """Fold one observation in: O(L^2) (plus O(m) PRESS carry)."""
-        z = self._row(features)
-        y = float(target)
-        if self._track_press:
-            self._window_reserve()
-            self._press_fold_in(z, y)
-            self._design_buf[self._window_used] = z
-            self._target_buf[self._window_used] = y
-            self._window_used += 1
-        self._xtx += np.outer(z, z)
-        self._xty += z * y
-        self._sum_y += y
-        self._sum_y2 += y * y
-        self._count += 1
-        if self._inverse is not None and not self._singular:
-            pz = self._inverse @ z
-            denominator = 1.0 + float(z @ pz)
-            if denominator <= 1e-12:  # inverse no longer trustworthy
-                self._inverse = None
-            else:
-                self._inverse -= np.outer(pz, pz) / denominator
-                self._inverse = 0.5 * (self._inverse + self._inverse.T)
-        else:
-            self._inverse = None
-
-    def downdate(self, features, target: float) -> None:
-        """Fold one observation out (sliding the window): O(L^2)."""
-        if self._count <= 0:
-            raise EstimationError("cannot downdate an empty window")
-        z = self._row(features)
-        y = float(target)
-        if self._track_press:
-            self._press_fold_out(z, y)
-        self._xtx -= np.outer(z, z)
-        self._xty -= z * y
-        self._sum_y -= y
-        self._sum_y2 -= y * y
-        self._count -= 1
-        if self._inverse is not None and not self._singular:
-            pz = self._inverse @ z
-            denominator = 1.0 - float(z @ pz)
-            if denominator <= 1e-12:  # removal makes the matrix singular
-                self._inverse = None
-            else:
-                self._inverse += np.outer(pz, pz) / denominator
-                self._inverse = 0.5 * (self._inverse + self._inverse.T)
-        else:
-            self._inverse = None
-
-    # Incremental PRESS ----------------------------------------------------
-
-    def _window_reserve(self) -> None:
+    def _reserve(self) -> None:
         """Grow the window buffers (amortised doubling) for one more row."""
-        capacity = self._design_buf.shape[0]
-        if self._window_used < capacity:
+        capacity = self._targets.shape[0]
+        if self._count < capacity:
             return
-        grown = 2 * capacity
-        for name in ("_design_buf", "_target_buf", "_lev_buf", "_resid_buf"):
+        for name in ("_rows", "_targets", "_basis", "_lev", "_resid"):
             old = getattr(self, name)
-            new = np.empty((grown,) + old.shape[1:])
+            new = np.empty((2 * capacity,) + old.shape[1:])
             new[:capacity] = old
             setattr(self, name, new)
 
-    def _press_fold_in(self, z: np.ndarray, y: float) -> None:
-        """Carry leverages/residuals through the rank-one growth.
+    # Widening -------------------------------------------------------------
 
-        With ``P = (A^T A)^-1`` *before* the new row ``z`` and
-        ``s = z P z``, Sherman-Morrison gives for every existing row i::
+    def update(self, features, target: float) -> None:
+        """Fold one observation in: O(L^2 + m L) on the carry."""
+        x = self._row(features)
+        y = float(target)
+        self._reserve()
+        m = self._count
+        self._rows[m] = x
+        self._targets[m] = y
+        delta = y - self._mean
+        self._mean += delta / (m + 1)
+        self._sst += delta * (y - self._mean)
+        self._exact = None
+        if not self._stale:
+            self._steps += 1
+            if (
+                not self._carry
+                or self._steps >= self.ANCHOR_EVERY
+                # a window-constant column turns active: widen the basis
+                or (x[self._constant] != self._values).any()
+            ):
+                self._stale = True
+            else:
+                self._fold_in(x, y)
+                self._stale = self._trace > self.PRESS_MAX_CONDITION * self._floor
+        self._count = m + 1
+
+    def _fold_in(self, x: np.ndarray, y: float) -> None:
+        """Sherman-Morrison step of the carry for the new row ``z``.
+
+        With ``P = (Z^T Z)^-1`` *before* the row, ``s = z P z`` and the
+        innovation ``y - z beta``, every existing row i moves by::
 
             h_i' = h_i - (z_i P z)^2 / (1 + s)
-            e_i' = e_i - (z_i P z) * (y - z beta) / (1 + s)
+            e_i' = e_i - (z_i P z) * innovation / (1 + s)
 
-        and the new row's own ``h = s - s^2/(1+s)``, ``e = innov/(1+s)``
-        (its LOO residual is exactly the prediction innovation).  One
-        O(m L) matvec replaces the O(m L^2) hat-matrix pass.  Writes the
-        new row's slot ``_window_used`` directly; the caller appends the
-        row itself right after.
+        and the new row gets ``h = s / (1 + s)``, ``e = innovation/(1+s)``.
+        One O(m L) matvec replaces the O(m L^2) hat-matrix pass.
         """
-        if not self._press_valid:
-            return  # stale; the next query recomputes
-        if not self._press_carry_trustworthy():
-            # Never carry through an ill-conditioned step: the error it
-            # would bake in (~cond * eps) survives even if conditioning
-            # later recovers, and the query-time guard only inspects the
-            # *current* window.  Recompute exactly on the next query.
-            self._press_valid = False
-            return
+        m = self._count
+        z = self._basis[m]
+        z[0] = 1.0
+        z[1:] = (x[self._active] - self._shift) / self._scale
         pz = self._inverse @ z
         s = float(z @ pz)
         denominator = 1.0 + s
-        if denominator <= 1e-12:
-            self._press_valid = False
+        innovation = y - float(z @ self._beta)
+        g = self._basis[:m] @ pz
+        root = math.sqrt(denominator)
+        g /= root
+        self._resid[:m] -= g * (innovation / root)
+        self._resid[m] = innovation / denominator
+        if self._track_press:
+            self._lev[:m] -= g * g
+            self._lev[m] = s / denominator
+        self._inverse -= pz[:, None] * (pz / denominator)
+        self._beta += pz * (innovation / denominator)
+        self._trace += float(z @ z)
+
+    def _anchor(self) -> None:
+        """Rebuild the carry exactly from the window rows (one thin SVD).
+
+        Re-derives the active columns and their shift/scale, then the
+        inverse, coefficients, leverages and residuals from the SVD of
+        the reduced basis.  A basis that fails the conditioning guard
+        leaves the carry off: the window takes the exact path.
+        """
+        m = self._count
+        rows = self._rows[:m]
+        varies = (rows != rows[0]).any(axis=0)
+        active = np.flatnonzero(varies)
+        self._constant = np.flatnonzero(~varies)
+        self._values = rows[0, self._constant]
+        columns = rows[:, active]
+        shift = columns.mean(axis=0)
+        scale = columns.std(axis=0)
+        k = active.size + 1
+        if self._basis.shape[1] != k:
+            self._basis = np.empty((self._targets.shape[0], k))
+        basis = self._basis[:m]
+        basis[:, 0] = 1.0
+        basis[:, 1:] = (columns - shift) / scale
+        self._active, self._shift, self._scale = active, shift, scale
+        self._stale = False
+        self._steps = 0
+        targets = self._targets[:m]
+        self._mean = float(targets.mean())
+        self._sst = total_sum_of_squares(targets)
+        u, s, vt = np.linalg.svd(basis, full_matrices=False)
+        self._trace = float(np.einsum("ij,ij->", basis, basis))
+        self._floor = float(s[-1]) ** 2
+        self._carry = m >= k and self._trace <= self.PRESS_MAX_CONDITION * self._floor
+        if not self._carry:
             return
-        beta = self._inverse @ self._xty
-        innovation = y - float(z @ beta)
-        m = self._window_used
-        if m:
-            g = self._design_buf[:m] @ pz
-            self._lev_buf[:m] -= g * g / denominator
-            self._resid_buf[:m] -= g * (innovation / denominator)
-        self._lev_buf[m] = s - s * s / denominator
-        self._resid_buf[m] = innovation / denominator
+        inverse = (vt.T / s**2) @ vt
+        self._inverse = 0.5 * (inverse + inverse.T)
+        self._beta = vt.T @ ((u.T @ targets) / s)
+        self._resid[:m] = targets - basis @ self._beta
+        if self._track_press:
+            self._lev[:m] = np.einsum("ij,ij->i", u, u)
 
-    def _press_fold_out(self, z: np.ndarray, y: float) -> None:
-        """Drop the tracked row matching (z, y); the carry goes stale.
+    def _sync(self) -> bool:
+        """Anchor if due; whether the window runs on the carry."""
+        if self._stale:
+            self._anchor()
+        return self._carry
 
-        Sliding windows are not on DREAM's widening hot path, so the
-        downdate simply invalidates the carried vectors — the next PRESS
-        query recomputes them exactly.
+    def _exact_fit(self) -> MultipleLinearRegression:
+        """The batch oracle's fit of the current window (cached)."""
+        if self._exact is None:
+            m = self._count
+            self._exact = MultipleLinearRegression().fit(
+                self._rows[:m], self._targets[:m]
+            )
+        return self._exact
+
+    def _require_data(self) -> None:
+        if self._count == 0:
+            raise EstimationError("no observations folded in yet")
+
+    # Queries --------------------------------------------------------------
+
+    def well_conditioned(self) -> bool:
+        """Whether the current window's statistics come from the carry.
+
+        False means the reduced design (constant columns dropped) is
+        still ill-conditioned, and the window is fitted on the batch
+        oracle's exact path.  The per-step queries below consult this
+        once each, so it reports carry engagement step by step.
         """
-        m = self._window_used
-        for i in range(m):
-            if self._target_buf[i] == y and np.array_equal(self._design_buf[i], z):
-                self._design_buf[i : m - 1] = self._design_buf[i + 1 : m]
-                self._target_buf[i : m - 1] = self._target_buf[i + 1 : m]
-                self._window_used = m - 1
-                self._press_valid = False
-                return
-        raise EstimationError(
-            "downdate observation was never folded into the tracked window"
-        )
-
-    def _press_recompute(self) -> None:
-        """Exact leverages/residuals on the batch oracle's code path.
-
-        Mirrors :meth:`MultipleLinearRegression._fit` operation for
-        operation (same normal matrix built from the same rows, same
-        solve-then-pinv fallback, same pinv leverages) so the tracked
-        statistic matches the batch fit bitwise whenever the rank-one
-        carry is unavailable — including rank-deficient windows.
-        """
-        m = self._window_used
-        design = self._design_buf[:m]
-        targets = self._target_buf[:m]
-        normal = design.T @ design
-        try:
-            beta = np.linalg.solve(normal, design.T @ targets)
-        except np.linalg.LinAlgError:
-            beta = np.linalg.pinv(design) @ targets
-        self._resid_buf[:m] = targets - design @ beta
-        self._lev_buf[:m] = np.einsum(
-            "ij,jk,ik->i", design, np.linalg.pinv(normal), design
-        )
-        self._press_valid = True
-
-    def _press_carry_trustworthy(self) -> bool:
-        """Cheap conditioning guard for the carried vectors.
-
-        Uses the Frobenius estimate ``||A||_F * ||A^-1||_F``, an upper
-        bound on the 2-norm condition number, so a pass guarantees the
-        window really is well-conditioned; the estimate costs O(L^2)
-        instead of the O(L^3) SVD of ``numpy.linalg.cond``.
-        """
-        self._refresh_inverse()
-        if self._singular:
+        if self._count == 0:
             return False
-        estimate = np.linalg.norm(self._xtx) * np.linalg.norm(self._inverse)
-        return bool(np.isfinite(estimate) and estimate <= self.PRESS_MAX_CONDITION)
+        return self._sync()
 
     def press_r_squared_tracked(self) -> float:
-        """Leave-one-out R^2 of the tracked window (incremental).
-
-        Requires ``track_press=True``.  Uses the carried leverages and
-        residuals when the window is well-conditioned enough for them to
-        hold 1e-9 agreement with the batch fit; otherwise recomputes them
-        on the oracle's exact path (and the carry resumes from there).
-        """
+        """Leave-one-out R^2 of the window from the carried leverages and
+        residuals (O(m)); the exact path's batch fit otherwise."""
         if not self._track_press:
             raise EstimationError("construct with track_press=True to track PRESS")
-        if self._count == 0:
-            raise EstimationError("no observations folded in yet")
-        if not self._press_valid or not self._press_carry_trustworthy():
-            self._press_recompute()
-        m = self._window_used
-        return press_r_squared_from(
-            self._resid_buf[:m], self._lev_buf[:m], self._target_buf[:m]
-        )
+        self._require_data()
+        if not self.well_conditioned():
+            return self._exact_fit().press_r_squared_
+        return self._carried_press()
 
-    # Derived quantities ---------------------------------------------------
-
-    def well_conditioned(self, max_condition: float = 1e8) -> bool:
-        """Whether the normal matrix supports the fast inverse path.
-
-        Rank-deficient windows (duplicated rows, constant features) lose
-        ~cond^2 significant digits through the normal equations, so the
-        incremental solution can diverge from the batch oracle there —
-        callers should refit that window with the batch path instead.  A
-        False result also marks the maintained inverse stale, forcing a
-        fresh factorisation once the window is well-conditioned again.
-        """
-        if self._count == 0:
-            return False
-        condition = np.linalg.cond(self._xtx)
-        if not np.isfinite(condition) or condition > max_condition:
-            self._inverse = None
-            return False
-        return True
-
-    def _refresh_inverse(self) -> np.ndarray:
-        if self._inverse is None or self._singular:
-            try:
-                self._inverse = np.linalg.inv(self._xtx)
-                self._singular = False
-            except np.linalg.LinAlgError:
-                self._inverse = np.linalg.pinv(self._xtx)
-                self._singular = True
-            self._inverse = 0.5 * (self._inverse + self._inverse.T)
-        return self._inverse
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        """OLS coefficients (intercept first), Eq. 12 on the window."""
-        if self._count == 0:
-            raise EstimationError("no observations folded in yet")
-        return self._refresh_inverse() @ self._xty
+    def _carried_press(self) -> float:
+        m = self._count
+        return press_r_squared_from(self._resid[:m], self._lev[:m], self._sst)
 
     @property
     def r_squared(self) -> float:
-        """Training R^2 (Eq. 14) from the maintained scalars alone."""
-        beta = self.coefficients
-        sse = self._sum_y2 - 2.0 * float(beta @ self._xty) + float(
-            beta @ self._xtx @ beta
-        )
-        sse = max(sse, 0.0)
-        sst = max(self._sum_y2 - self._sum_y**2 / self._count, 0.0)
-        if sst <= 1e-12 * max(1.0, self._sum_y2):
-            return 1.0 if sse <= 1e-12 * max(1.0, self._sum_y2) else 0.0
-        return 1.0 - sse / sst
+        """Training R^2 (Eq. 14) from the carried residuals (O(m))."""
+        self._require_data()
+        if not self.well_conditioned():
+            return self._exact_fit().r_squared_
+        return self._carried_r_squared()
 
-    def leverages(self, features: np.ndarray) -> np.ndarray:
-        """Hat-matrix diagonal of the given window rows under this fit."""
-        design = np.hstack(
-            [np.ones((features.shape[0], 1)), np.asarray(features, dtype=float)]
-        )
-        inverse = self._refresh_inverse()
-        return np.einsum("ij,jk,ik->i", design, inverse, design)
+    def _carried_r_squared(self) -> float:
+        m = self._count
+        targets = self._targets[:m]
+        return r_squared(targets, targets - self._resid[:m])
 
-    def press_r_squared(self, features: np.ndarray, targets: np.ndarray) -> float:
-        """Leave-one-out R^2 over the window rows (one vectorised pass).
+    @property
+    def coefficients(self) -> np.ndarray:
+        """Minimum-norm OLS coefficients over all columns, intercept first."""
+        self._require_data()
+        if not self._sync():
+            return self._exact_fit().coefficients_
+        slopes = self._beta[1:] / self._scale
+        intercept = self._beta[0] - float(slopes @ self._shift)
+        values = self._values
+        share = intercept / (1.0 + float(values @ values))
+        coefficients = np.empty(self.dimension + 1)
+        coefficients[0] = share
+        coefficients[1 + self._active] = slopes
+        coefficients[1 + self._constant] = values * share
+        return coefficients
 
-        Same closed form as the batch fit (``e_loo = e / (1 - h_ii)``)
-        but using the maintained inverse, so no new factorisation.
-        """
-        features = np.asarray(features, dtype=float)
-        targets = np.asarray(targets, dtype=float)
-        design = np.hstack([np.ones((features.shape[0], 1)), features])
-        fitted = design @ self.coefficients
-        residuals = targets - fitted
-        inverse = self._refresh_inverse()
-        leverages = np.einsum("ij,jk,ik->i", design, inverse, design)
-        return press_r_squared_from(residuals, leverages, targets)
-
-    def as_model(self, press_r_squared: float | None = None) -> MultipleLinearRegression:
-        """Snapshot the current window fit as a fitted batch model."""
+    def as_model(self) -> MultipleLinearRegression:
+        """The current window's fit as a fitted batch model."""
+        self._require_data()
+        if not self._sync():
+            return self._exact_fit()
         model = MultipleLinearRegression()
-        model.coefficients_ = self.coefficients.copy()
-        model.r_squared_ = self.r_squared
-        model.press_r_squared_ = press_r_squared
+        model.coefficients_ = self.coefficients
+        model.r_squared_ = self._carried_r_squared()
+        if self._track_press:
+            model.press_r_squared_ = self._carried_press()
         model._dimension = self.dimension
         model._fitted = True
         return model

@@ -3,11 +3,13 @@
 Three layers of guarantees:
 
 1. :class:`RecursiveLeastSquares` reproduces batch OLS — coefficients,
-   training R^2 and PRESS R^2 — to 1e-8 across random windows, through
-   both updates and downdates (property test).
+   training R^2 and PRESS R^2 — to 1e-8 across random growing windows
+   (property test).
 2. :class:`OnlineDreamEstimator` chooses the *same window* as the batch
    :class:`DreamEstimator` and predicts within 1e-6 on the
-   ``default_federation_load`` drift scenario (equivalence test).
+   ``default_federation_load`` drift scenario and on the MIDAS warm-up
+   histories, whose windows hold constant columns (equivalence tests),
+   and the widening steps there run on the rank-one carry.
 3. The batched prediction path (``DreamResult.predict_batch``,
    ``MultiCostModel.predict_batch``) matches the per-row path exactly.
 """
@@ -21,8 +23,14 @@ from repro.cloud.variability import default_federation_load
 from repro.common.errors import EstimationError
 from repro.common.rng import RngStream
 from repro.core import DreamEstimator, ExecutionHistory, OnlineDreamEstimator
+from repro.federation import FederationConfig
 from repro.ires.modelling import DreamStrategy
+from repro.midas import MEDICAL_QUERIES, MidasSystem
 from repro.ml import MultipleLinearRegression, RecursiveLeastSquares
+from tests.test_linear_press_incremental import PRESS_TOLERANCE
+
+#: Rows each MIDAS template history holds for the replay tests.
+MIDAS_ROWS = 130
 
 
 def random_regression(seed: int, n: int, dimension: int):
@@ -60,7 +68,7 @@ class TestRecursiveLeastSquares:
     def test_matches_batch_across_growing_windows(self, seed, dimension, extra):
         n = dimension + 2 + extra
         features, targets = random_regression(seed, n, dimension)
-        rls = RecursiveLeastSquares(dimension)
+        rls = RecursiveLeastSquares(dimension, track_press=True)
         for i in range(n):
             rls.update(features[i], targets[i])
             if i + 1 < dimension + 2:
@@ -71,38 +79,9 @@ class TestRecursiveLeastSquares:
                 rls.coefficients, batch.coefficients_, rtol=1e-8, atol=1e-8
             )
             assert rls.r_squared == pytest.approx(batch.r_squared_, abs=1e-8)
-            assert rls.press_r_squared(window_x, window_y) == pytest.approx(
+            assert rls.press_r_squared_tracked() == pytest.approx(
                 batch.press_r_squared_, abs=1e-8
             )
-
-    @given(
-        seed=st.integers(min_value=0, max_value=2**31 - 1),
-        dimension=st.integers(min_value=1, max_value=3),
-    )
-    @settings(max_examples=15, deadline=None)
-    def test_downdate_slides_the_window(self, seed, dimension):
-        n = dimension + 12
-        drop = 4
-        features, targets = random_regression(seed, n, dimension)
-        rls = RecursiveLeastSquares(dimension)
-        for i in range(n):
-            rls.update(features[i], targets[i])
-        for i in range(drop):
-            rls.downdate(features[i], targets[i])
-        batch = MultipleLinearRegression().fit(features[drop:], targets[drop:])
-        assert rls.count == n - drop
-        assert np.allclose(rls.coefficients, batch.coefficients_, rtol=1e-7, atol=1e-7)
-        assert rls.r_squared == pytest.approx(batch.r_squared_, abs=1e-7)
-
-    def test_copy_is_independent(self):
-        features, targets = random_regression(1, 8, 2)
-        rls = RecursiveLeastSquares(2)
-        for i in range(6):
-            rls.update(features[i], targets[i])
-        clone = rls.copy()
-        clone.update(features[6], targets[6])
-        assert clone.count == rls.count + 1
-        assert not np.allclose(clone.coefficients, rls.coefficients)
 
     def test_dimension_and_empty_guards(self):
         with pytest.raises(EstimationError):
@@ -110,8 +89,6 @@ class TestRecursiveLeastSquares:
         rls = RecursiveLeastSquares(2)
         with pytest.raises(EstimationError):
             rls.update([1.0], 2.0)
-        with pytest.raises(EstimationError):
-            rls.downdate([1.0, 2.0], 3.0)
         with pytest.raises(EstimationError):
             _ = rls.coefficients
 
@@ -218,6 +195,133 @@ class TestOnlineDreamEquivalence:
         values = OnlineDreamEstimator().estimate_cost_values(history, [50.0, 4.0])
         assert set(values) == {"time", "money"}
 
+
+@pytest.fixture(scope="module")
+def midas_histories():
+    """Warm-up histories of the three MEDICAL_QUERIES templates under the
+    gateway defaults (``max_window=None``), each with one candidate
+    feature matrix of its QEP space."""
+    midas = MidasSystem(patient_count=300, seed=7, config=FederationConfig())
+    rng = RngStream(3, "midas-replay")
+    out = {}
+    for key, template in MEDICAL_QUERIES.items():
+        midas.warm_up(key, runs=MIDAS_ROWS)
+        history = midas.gateway.history(key)
+        space = midas.gateway.candidates(key, template.sample_params(rng))
+        matrix = np.array(
+            [[c.features[name] for name in history.feature_names] for c in space]
+        )
+        out[key] = (history, matrix)
+    return out
+
+
+def count_carry_steps(monkeypatch) -> list[int]:
+    """Wrap ``RecursiveLeastSquares.well_conditioned`` on the class (as the
+    federation benchmark's tracer does); returns [exact, carry] counts."""
+    counts = [0, 0]
+    original = RecursiveLeastSquares.__dict__["well_conditioned"]
+
+    def counted(self):
+        result = original(self)
+        counts[bool(result)] += 1
+        return result
+
+    monkeypatch.setattr(RecursiveLeastSquares, "well_conditioned", counted)
+    return counts
+
+
+class TestMidasEquivalence:
+    """Replays of the MIDAS warm-up histories, tick by tick: their windows
+    hold columns constant over the window (a table size, both sizes on
+    medical-lab-followup), the rank-deficient case of the real workload."""
+
+    def test_same_windows_predictions_and_press(self, midas_histories, monkeypatch):
+        counts = count_carry_steps(monkeypatch)
+        for key, (history, matrix) in midas_histories.items():
+            replay = ExecutionHistory(history.feature_names, history.metric_names)
+            batch = DreamEstimator(r2_required=0.8)
+            online = OnlineDreamEstimator(r2_required=0.8)
+            checked = 0
+            for obs in history.observations:
+                replay.append(obs.tick, obs.features, obs.costs)
+                if replay.size < len(history.feature_names) + 2:
+                    continue
+                reference = batch.fit(replay.datasets())
+                incremental = online.fit(replay)
+                assert incremental.window_sizes == reference.window_sizes, key
+                assert incremental.converged == reference.converged, key
+                for metric in history.metric_names:
+                    assert incremental.r_squared[metric] == pytest.approx(
+                        reference.r_squared[metric], abs=PRESS_TOLERANCE
+                    )
+                    assert np.allclose(
+                        incremental.predict_metric_batch(metric, matrix),
+                        reference.predict_metric_batch(metric, matrix),
+                        rtol=1e-6,
+                        atol=1e-9,
+                    ), (key, metric, replay.size)
+                checked += 1
+            assert checked >= 120
+        exact, carried = counts
+        assert carried / (exact + carried) >= 0.95
+
+
+def degenerate_design(data, n: int):
+    """A random design whose columns include the degenerate kinds: a
+    constant, one that turns active late in the widening, an exact
+    duplicate and an exact linear combination of other columns."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    base = rng.uniform(-3.0, 3.0, size=(n, 2))
+    kinds = data.draw(
+        st.lists(
+            st.sampled_from(["constant", "late", "duplicate", "combination"]),
+            min_size=1,
+            max_size=3,
+        ),
+        label="kinds",
+    )
+    columns = [base[:, 0], base[:, 1]]
+    for kind in kinds:
+        if kind == "constant":
+            columns.append(np.full(n, float(rng.choice([0.0, 0.337, 4.0]))))
+        elif kind == "late":  # widening runs backwards: varies only early
+            late = np.full(n, 1.0)
+            late[: n // 3] = rng.integers(0, 3, size=n // 3)
+            columns.append(late)
+        elif kind == "duplicate":
+            columns.append(columns[int(rng.integers(0, len(columns)))].copy())
+        else:
+            columns.append(2.0 * base[:, 0] - base[:, 1])
+    features = np.column_stack(columns)
+    slopes = rng.uniform(-2.0, 2.0, size=features.shape[1])
+    targets = 1.5 + features @ slopes + rng.normal(0.0, 0.5, size=n)
+    return features, targets
+
+
+class TestRankRevealingCarry:
+    @given(data=st.data(), extra=st.integers(min_value=1, max_value=30))
+    @settings(max_examples=40)
+    def test_degenerate_designs_match_batch(self, data, extra):
+        """Growing the window backwards (as Algorithm 1 does), the tracked
+        PRESS, training R^2 and predictions — at a probe off the window's
+        constant values — match the batch oracle at every size."""
+        n = 8 + extra
+        features, targets = degenerate_design(data, n)
+        dimension = features.shape[1]
+        probe = features[-1] + 1.5
+        rls = RecursiveLeastSquares(dimension, track_press=True)
+        for i in range(n - 1, -1, -1):
+            rls.update(features[i], targets[i])
+            if n - i < dimension + 2:
+                continue
+            batch = MultipleLinearRegression().fit(features[i:], targets[i:])
+            assert rls.press_r_squared_tracked() == pytest.approx(
+                batch.press_r_squared_, abs=PRESS_TOLERANCE
+            )
+            assert rls.r_squared == pytest.approx(batch.r_squared_, abs=1e-8)
+            assert rls.as_model().predict_one(probe) == pytest.approx(
+                batch.predict_one(probe), rel=1e-6, abs=1e-9
+            )
 
 class TestBatchedPrediction:
     def test_predict_batch_matches_per_row(self):

@@ -2,9 +2,10 @@
 
 The satellite guarantee: ``RecursiveLeastSquares(track_press=True)``
 reproduces ``MultipleLinearRegression.press_r_squared_`` to 1e-9 at
-every window size — through rank-one carries on well-conditioned
-windows and through the exact-recompute fallback on near-rank-deficient
-ones (the MIDAS constant-engine-indicator case).  Seeds are derived
+every window size — through rank-one carries on the window's active
+columns (constant columns such as the MIDAS engine indicator dropped)
+and through the batch oracle on windows whose reduced design is still
+ill-conditioned.  Seeds are derived
 with :func:`repro.common.rng.derive_seed`, so Hypothesis explores a
 stable, process-independent space of regression problems.
 """
@@ -57,31 +58,11 @@ class TestIncrementalPressEqualsBatch:
                 batch.press_r_squared_, abs=PRESS_TOLERANCE
             )
 
-    @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
-    @settings(max_examples=15, deadline=None)
-    def test_press_survives_downdates(self, seed):
-        """Sliding the window (downdate) invalidates the carry; the next
-        query must still agree with a batch fit of the remaining rows."""
-        dimension, n, drop = 2, 14, 4
-        features, targets = regression_stream(seed, n, dimension, indicator=False)
-        rls = RecursiveLeastSquares(dimension, track_press=True)
-        for i in range(n):
-            rls.update(features[i], targets[i])
-        assert rls.press_r_squared_tracked() == pytest.approx(
-            MultipleLinearRegression().fit(features, targets).press_r_squared_,
-            abs=PRESS_TOLERANCE,
-        )
-        for i in range(drop):
-            rls.downdate(features[i], targets[i])
-        batch = MultipleLinearRegression().fit(features[drop:], targets[drop:])
-        assert rls.press_r_squared_tracked() == pytest.approx(
-            batch.press_r_squared_, abs=PRESS_TOLERANCE
-        )
-
     def test_constant_indicator_window_takes_exact_path(self):
-        """A fully constant indicator column keeps the normal matrix
-        singular: the tracked statistic must equal the batch fit, which
-        exercises the pinv fallback of the recompute path."""
+        """A fully constant indicator column keeps the full normal matrix
+        singular: the carry drops the column (it lies in the intercept's
+        span) and the tracked statistic must still equal the batch fit's
+        minimum-norm one."""
         rng = RngStream(7, "constant-indicator")
         n, dimension = 12, 3
         features = rng.uniform(0.0, 10.0, size=(n, dimension))
@@ -97,63 +78,28 @@ class TestIncrementalPressEqualsBatch:
                 batch.press_r_squared_, abs=PRESS_TOLERANCE
             )
 
-    def test_carry_actually_engages(self):
+    def test_carry_actually_engages(self, monkeypatch):
         """Guard against silently recomputing every step: on a well-
-        conditioned stream the carried vectors must stay valid across
-        updates once materialised."""
+        conditioned stream, once anchored, an update is carried by the
+        rank-one step rather than by a fresh exact anchor."""
         features, targets = regression_stream(3, 20, 2, indicator=False)
         rls = RecursiveLeastSquares(2, track_press=True)
         for i in range(6):
             rls.update(features[i], targets[i])
-        rls.press_r_squared_tracked()  # materialises the carry
-        assert rls._press_valid
+        rls.press_r_squared_tracked()  # anchors the carry
+        anchors = []
+        anchor = rls._anchor
+        monkeypatch.setattr(rls, "_anchor", lambda: anchors.append(1) or anchor())
         rls.update(features[6], targets[6])
-        assert rls._press_valid  # carried through, not invalidated
+        assert rls.well_conditioned()
+        assert rls.press_r_squared_tracked() == pytest.approx(
+            MultipleLinearRegression().fit(features[:7], targets[:7]).press_r_squared_,
+            abs=PRESS_TOLERANCE,
+        )
+        assert not anchors  # carried through, not re-anchored
 
     def test_tracked_query_requires_opt_in_and_data(self):
         with pytest.raises(EstimationError, match="track_press"):
             RecursiveLeastSquares(2).press_r_squared_tracked()
         with pytest.raises(EstimationError, match="no observations"):
             RecursiveLeastSquares(2, track_press=True).press_r_squared_tracked()
-
-    def test_downdate_of_unknown_row_is_rejected(self):
-        features, targets = regression_stream(1, 6, 2, indicator=False)
-        rls = RecursiveLeastSquares(2, track_press=True)
-        for i in range(6):
-            rls.update(features[i], targets[i])
-        with pytest.raises(EstimationError, match="never folded"):
-            rls.downdate([99.0, 99.0], 1.0)
-
-    def test_copy_carries_tracking_state(self):
-        features, targets = regression_stream(2, 10, 2, indicator=False)
-        rls = RecursiveLeastSquares(2, track_press=True)
-        for i in range(8):
-            rls.update(features[i], targets[i])
-        rls.press_r_squared_tracked()
-        clone = rls.copy()
-        clone.update(features[8], targets[8])
-        batch = MultipleLinearRegression().fit(features[:9], targets[:9])
-        assert clone.press_r_squared_tracked() == pytest.approx(
-            batch.press_r_squared_, abs=PRESS_TOLERANCE
-        )
-        # The original is untouched by the clone's update.
-        original_batch = MultipleLinearRegression().fit(features[:8], targets[:8])
-        assert rls.press_r_squared_tracked() == pytest.approx(
-            original_batch.press_r_squared_, abs=PRESS_TOLERANCE
-        )
-
-
-class TestUntrackedPathUnchanged:
-    def test_untracked_press_signature_still_works(self):
-        """The explicit-window ``press_r_squared(X, y)`` form stays the
-        compatibility path for callers that do not track rows."""
-        features, targets = regression_stream(5, 12, 2, indicator=False)
-        rls = RecursiveLeastSquares(2)
-        tracked = RecursiveLeastSquares(2, track_press=True)
-        for i in range(12):
-            rls.update(features[i], targets[i])
-            tracked.update(features[i], targets[i])
-        assert rls.press_r_squared(features, targets) == pytest.approx(
-            tracked.press_r_squared_tracked(), abs=PRESS_TOLERANCE
-        )
-        assert np.allclose(rls.coefficients, tracked.coefficients)

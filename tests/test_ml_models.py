@@ -79,6 +79,45 @@ class TestOLS:
         model = MultipleLinearRegression().fit(X, y)  # must not raise
         assert np.isfinite(model.predict(np.array([1.0, 2.0])))
 
+    @pytest.mark.parametrize(
+        "constants",
+        [
+            {2: 0.337},  # one window-constant size column
+            # medical-lab-followup: both size columns constant
+            {0: 0.02288818359375, 1: 0.01393890380859375},
+        ],
+    )
+    def test_rank_deficient_window_is_pinv_minimum_norm(self, constants):
+        """A column constant over the window duplicates the intercept
+        direction.  The fit must be pinv's minimum-norm solution, not an
+        arbitrary one of the exact-fit family (LU returns coefficients
+        of order 1e6+ there), including at a probe whose constant-column
+        value differs from the window's."""
+        rng = RngStream(17, "constant-columns")
+        n, dimension = 30, 5
+        X = np.column_stack(
+            [
+                rng.uniform(0.005, 0.025, size=n),
+                rng.uniform(0.005, 0.025, size=n),
+                rng.integers(1, 9, size=n).astype(float),
+                rng.integers(1, 5, size=n).astype(float),
+                (rng.random(n) < 0.5).astype(float),
+            ]
+        )
+        for column, value in constants.items():
+            X[:, column] = value
+        y = 2.0 + 40.0 * X[:, 0] + 0.3 * X[:, 2] + rng.normal(0.0, 0.05, size=n)
+        model = MultipleLinearRegression().fit(X, y)
+        design = np.hstack([np.ones((n, 1)), X])
+        expected = np.linalg.pinv(design) @ y
+        assert np.allclose(model.coefficients_, expected, rtol=1e-9, atol=0.0)
+        probe = X[0].copy()
+        for column, value in constants.items():
+            probe[column] = 2.0 * value + 0.5
+        assert model.predict_one(probe) == pytest.approx(
+            float(np.concatenate(([1.0], probe)) @ expected), rel=1e-9
+        )
+
     def test_predict_before_fit(self):
         with pytest.raises(EstimationError):
             MultipleLinearRegression().predict([1.0, 2.0])
