@@ -3,11 +3,11 @@
 :class:`FederationConfig` replaces the ad-hoc keyword threading the old
 entry surfaces required (``IReSPlatform(...)`` positional wiring,
 ``DreamStrategy(r2_required=..., max_window=..., engine_cache=...)``,
-``ModelCache(capacity=..., ttl_seconds=...)``) with one frozen value
-object: strategy selection by registry name, estimation thresholds,
-engine-cache budget, optimizer algorithm and serving backend.  Every
-field is validated eagerly in ``__post_init__`` — a bad capacity or TTL
-fails at construction with a
+``ModelCache(capacity=...)``) with one frozen value object: strategy
+selection by registry name, estimation thresholds, engine-cache budget,
+optimizer algorithm and serving backend.  Every
+field is validated eagerly in ``__post_init__`` — a bad capacity or
+window fails at construction with a
 :class:`~repro.federation.errors.GatewayConfigError` instead of deep
 inside the first fit.
 """
@@ -70,8 +70,9 @@ class FederationConfig:
         The default limit covers the paper's full Example 3.1 space
         (18,200 equivalent QEPs) — the vectorized front scan makes
         exhaustive MOQP at that scale a milliseconds operation.
-    cache_capacity / cache_ttl_seconds:
-        LRU bound and idle TTL of the shared estimation-engine cache.
+    cache_capacity:
+        LRU bound of the shared estimation-engine cache (its only
+        memory bound: engines are rebuilt from history on a miss).
     serving_backend / shard_workers / shard_rpc_timeout:
         Which serving layer fronts the estimation strategy (see
         :func:`repro.federation.registry.available_serving_backends`):
@@ -105,14 +106,15 @@ class FederationConfig:
         unaffected because subdividing a fit-coalesced segment never
         changes what a prefit sees.
     rebalance:
-        Elastic-topology policy knobs
+        Elastic-topology policy settings
         (:class:`~repro.serving.topology.RebalanceConfig`) for the
         sharded backend: the gateway runs one
         :class:`~repro.serving.topology.RebalancePolicy` control cycle
-        every ``rebalance.cadence_flushes`` front-door flushes (and on
-        explicit ``gateway.rebalance()`` calls), migrating hot templates
-        to cold shards and growing/shrinking the pool.  ``None`` (the
-        default) leaves placement static.  Requires
+        after every front-door flush (and on explicit
+        ``gateway.rebalance()`` calls), migrating hot templates to cold
+        shards and dropping idle trailing shards.  ``None`` (the
+        default) leaves placement static: only explicit
+        ``gateway.rebalance()`` calls move templates.  Requires
         ``serving_backend="sharded"`` — the threaded service has no
         shards to balance.
     governance:
@@ -145,7 +147,6 @@ class FederationConfig:
     optimizer_algorithm: str = "exact"
     exact_limit: int = DEFAULT_EXACT_LIMIT
     cache_capacity: int = DEFAULT_CACHE_CAPACITY
-    cache_ttl_seconds: float | None = None
     serving_backend: str = "threaded"
     shard_workers: int | None = None
     shard_rpc_timeout: float | None = None
@@ -186,10 +187,6 @@ class FederationConfig:
         if self.cache_capacity < 1:
             raise GatewayConfigError(
                 f"cache_capacity must be >= 1, got {self.cache_capacity}"
-            )
-        if self.cache_ttl_seconds is not None and not self.cache_ttl_seconds > 0:
-            raise GatewayConfigError(
-                f"cache_ttl_seconds must be > 0 (or None), got {self.cache_ttl_seconds}"
             )
         if not self.serving_backend or not isinstance(self.serving_backend, str):
             raise GatewayConfigError(

@@ -67,7 +67,7 @@ class FederationError(ReproError):
 
 class GatewayConfigError(FederationError, ValidationError):
     """A :class:`~repro.federation.config.FederationConfig` field failed
-    a precondition check (non-positive capacity/TTL/worker counts, an
+    a precondition check (non-positive capacity or worker counts, an
     out-of-range threshold, an unknown optimizer algorithm, ...)."""
 
     phase = "configure"

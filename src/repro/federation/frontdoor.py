@@ -127,8 +127,8 @@ from repro.federation.errors import (
 )
 
 #: Module-level clock, monkeypatchable in tests (the staleness watermark
-#: and blocked-admission bookkeeping read it; same idiom as
-#: :data:`repro.core.cache.time_fn`).
+#: and blocked-admission bookkeeping read it at call time, so a test can
+#: fast-forward a door built deep inside the gateway).
 time_fn = time.monotonic
 
 #: Upper bound on one blocked wait (admission at a full queue, or a
@@ -672,11 +672,11 @@ class FrontDoor:
                 gateway._durability_sync()
         # Governance hook: chain one audit record per non-empty flush
         # (per-item submit/observe/denial records were appended as the
-        # items ran above).  Before the rebalance tick, so a cadence
+        # items ran above).  Before the rebalance cycle, so the
         # cycle's record lands after the flush that triggered it.
         gateway._audit_flush(batch)
-        # Elastic-topology control loop: a successful flush is the
-        # cadence tick (a no-op unless the gateway was configured with
+        # Elastic-topology control loop: every successful flush runs one
+        # cycle (a no-op unless the gateway was configured with
         # FederationConfig(rebalance=...)).  After _finalize, so the
         # flush flag is already released and tickets are resolved —
         # rebalancing never extends the batch's latency window.

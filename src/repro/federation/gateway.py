@@ -148,15 +148,15 @@ class FederationGateway:
         self._stopped = False
         self._close_lock = threading.Lock()
         # Elastic-topology control loop: one stateful policy for the
-        # gateway's lifetime (heat EWMAs carry across cycles), driven
-        # either by explicit rebalance() calls or automatically every
-        # config.rebalance.cadence_flushes front-door flushes.
+        # gateway's lifetime (heat EWMAs carry across cycles).  Explicit
+        # rebalance() calls build a default one on first use; only a
+        # configured ``config.rebalance`` also runs a cycle after every
+        # front-door flush.
         self._rebalance_policy = (
             None
             if self.config.rebalance is None
             else RebalancePolicy(self.config.rebalance)
         )
-        self._flushes_since_rebalance = 0
         self._last_rebalance = None
         # Governance plane: the policy engine compiles DataPolicy rules
         # into per-request plan constraints; the audit log chains every
@@ -178,26 +178,6 @@ class FederationGateway:
             else DurabilityManager(self, self.config.durability)
         )
         self._wire_durability()
-        # Background rebalance ticker (ROADMAP 2a): without it an idle
-        # gateway never rebalances, because cycles ride the front-door
-        # flush cadence.  Clean shutdown slots into close()'s ordering —
-        # the ticker stops after the door's final flush, before the
-        # serving layer dies.
-        self._rebalance_stop = threading.Event()
-        self._rebalance_thread: threading.Thread | None = None
-        cadence = (
-            None
-            if self.config.rebalance is None
-            else self.config.rebalance.cadence_seconds
-        )
-        if cadence is not None and hasattr(self.engine.serving, "rebalance"):
-            self._rebalance_thread = threading.Thread(
-                target=self._rebalance_ticker,
-                args=(cadence,),
-                name="gateway-rebalance-ticker",
-                daemon=True,
-            )
-            self._rebalance_thread.start()
 
     def _wire_durability(self) -> None:
         """Point the event sources at the journal: audit appends, model
@@ -1038,47 +1018,30 @@ class FederationGateway:
             if self._rebalance_policy is None:
                 self._rebalance_policy = RebalancePolicy()
             policy = self._rebalance_policy
-        self._last_rebalance = serving.rebalance(policy)
-        self._audit_note("rebalance", detail=self._last_rebalance.describe())
+        self._rebalance_cycle(policy)
         return self.topology_report()
 
-    def _rebalance_ticker(self, cadence: float) -> None:
-        """Daemon control loop: one policy cycle every
-        ``cadence_seconds`` of wall time, flush traffic or not (ROADMAP
-        2a — an idle gateway must still shed a hot shard).  Exits when
-        close() sets the stop event; a cycle racing shutdown surfaces as
-        ShardedServingError and ends the loop the same way."""
-        policy = self._rebalance_policy
-        while not self._rebalance_stop.wait(cadence):
-            with self._lock:
-                if self._closed:
-                    return
-            try:
-                outcome = self.engine.serving.rebalance(policy)
-            except ShardedServingError:
-                return
-            self._last_rebalance = outcome
-            self._audit_note("rebalance", detail=outcome.describe())
-
     def _auto_rebalance(self) -> None:
-        """Front-door hook: one policy cycle every ``cadence_flushes``
-        flushes, when a rebalance config is present (no-op otherwise)."""
-        policy = self._rebalance_policy
-        if policy is None or not hasattr(self.engine.serving, "rebalance"):
+        """Front-door hook: one policy cycle after every flush, when
+        ``config.rebalance`` is set (no-op otherwise — an explicit
+        ``rebalance()`` call never turns the automatic cycles on)."""
+        if self.config.rebalance is None:
             return
         with self._lock:
             if self._closed:
                 return
-            self._flushes_since_rebalance += 1
-            if self._flushes_since_rebalance < policy.config.cadence_flushes:
-                return
-            self._flushes_since_rebalance = 0
         try:
-            self._last_rebalance = self.engine.serving.rebalance(policy)
+            self._rebalance_cycle(self._rebalance_policy)
         except ShardedServingError:
             # close() raced the cycle; the final flush already ran, so
             # losing one advisory rebalance is harmless.
             return
+
+    def _rebalance_cycle(self, policy: RebalancePolicy) -> None:
+        """The one control-cycle path: run ``policy`` against the
+        serving layer, record the outcome as ``last_cycle`` and append
+        its ``rebalance`` audit record."""
+        self._last_rebalance = self.engine.serving.rebalance(policy)
         self._audit_note("rebalance", detail=self._last_rebalance.describe())
 
     # Lifecycle ------------------------------------------------------------
@@ -1111,13 +1074,6 @@ class FederationGateway:
                 door.close()
             with self._lock:
                 self._stopped = True
-            # The ticker stops after the door's final flush (so that
-            # flush still rebalances if it crossed the cadence) and
-            # before the serving layer dies under a mid-cycle move.
-            self._rebalance_stop.set()
-            if self._rebalance_thread is not None:
-                self._rebalance_thread.join(timeout=5.0)
-                self._rebalance_thread = None
             self.engine.serving.close()
             if self._durability is not None:
                 # Last: every event the shutdown emitted (final flush

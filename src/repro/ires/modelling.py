@@ -94,13 +94,12 @@ class DreamStrategy(EstimationStrategy):
     falls back to the batch reference estimator on every call.
 
     Engines live in a bounded :class:`~repro.core.cache.ModelCache`
-    (LRU + optional idle TTL) instead of a process-lifetime map: a
+    (LRU) instead of a process-lifetime map: a
     long-running federation can register far more templates than are
     hot, and an evicted engine simply refits from its history — same
     window, same predictions — on the next call.  Pass a shared
     ``engine_cache`` to pool the budget across strategies, or rely on
-    the per-strategy default (capacity ``DEFAULT_ENGINE_CAPACITY``, no
-    TTL).
+    the per-strategy default (capacity ``DEFAULT_ENGINE_CAPACITY``).
     """
 
     name = "dream"

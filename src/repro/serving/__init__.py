@@ -19,10 +19,9 @@ hospital's recurring query shape).  Each tenant owns
 
 **Shared, bounded machinery.**  What tenants *do* share is the
 estimation strategy and its engine budget: the incremental DREAM
-engines live in one :class:`~repro.core.cache.ModelCache` (LRU +
-idle-TTL, exact hit/miss/eviction counters), so a long-running
-deployment with thousands of registered templates keeps engines only
-for the hot ones.  Eviction is safe — an engine is derived state and
+engines live in one :class:`~repro.core.cache.ModelCache` (LRU, exact
+hit/miss/eviction counters), so a long-running deployment with
+thousands of registered templates keeps engines only for the hot ones.  Eviction is safe — an engine is derived state and
 refits from its history to the identical window and predictions.
 
 **Bursts.**  A submission burst touches many templates at once;

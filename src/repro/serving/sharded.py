@@ -756,16 +756,8 @@ class ShardedEstimationService(BaseEstimationService):
         with self._topology_lock:
             shards, templates = self._load_rows()
             plan = policy.plan(shards, templates)
-            grew = None
-            if plan.grow_to is not None and plan.grow_to > self.workers:
-                grew = self.resize(plan.grow_to)
-            # Apply-time migration throttle: moves beyond the cap are
-            # deferred (the policy's heat state re-plans them next
-            # cycle), bounding replay churn per cycle.
-            cap = policy.config.max_migrations_per_cycle
-            moves = plan.moves if cap is None else plan.moves[:cap]
             applied = []
-            for move in moves:
+            for move in plan.moves:
                 if 0 <= move.dst < self.workers and self.migrate(move.key, move.dst):
                     applied.append(move)
             shrank = None
@@ -773,11 +765,9 @@ class ShardedEstimationService(BaseEstimationService):
                 shrank = self.resize(plan.shrink_to)
             return RebalanceOutcome(
                 moves=tuple(applied),
-                grew_to=grew,
                 shrank_to=shrank,
                 route_version=self.route_version,
                 reason=plan.reason,
-                migration_cap=cap,
             )
 
     def route_table(self) -> dict[str, int]:
@@ -920,7 +910,6 @@ class ShardedEstimationService(BaseEstimationService):
             hits=sum(c.hits for c in caches),
             misses=sum(c.misses for c in caches),
             evictions=sum(c.evictions for c in caches),
-            expirations=sum(c.expirations for c in caches),
             size=sum(c.size for c in caches),
         )
 

@@ -90,7 +90,6 @@ def make_topology_report() -> TopologyReport:
         ),
         last_cycle=RebalanceOutcome(
             moves=(Migration("q2", 0, 2), Migration("q3", 1, 0)),
-            grew_to=3,
             shrank_to=None,
             route_version=7,
             reason="hot shard 0",

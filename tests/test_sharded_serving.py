@@ -619,22 +619,8 @@ class TestElasticTopology:
                     == reference.model(key).training_size
                 )
 
-    def test_rebalance_grows_the_pool_under_backlog_pressure(self):
-        from repro.serving import RebalanceConfig, RebalancePolicy
-
-        with ShardedEstimationService(factory, workers=1) as sharded:
-            sharded.register("q1", feature_names=FEATURES, metrics=METRICS)
-            feed(sharded, "q1", 12)  # 12 pending rows, never fitted
-            policy = RebalancePolicy(
-                RebalanceConfig(grow_backlog=8, max_workers=2)
-            )
-            outcome = sharded.rebalance(policy)
-            assert outcome.grew_to == 2
-            assert sharded.workers == 2
-            assert "backlog" in outcome.reason
-
     def test_rebalance_shrinks_idle_trailing_shards(self):
-        from repro.serving import RebalanceConfig, RebalancePolicy
+        from repro.serving import RebalancePolicy
 
         with ShardedEstimationService(factory, workers=3) as sharded:
             key = next(
@@ -644,8 +630,7 @@ class TestElasticTopology:
             sharded.register(key, feature_names=FEATURES, metrics=METRICS)
             feed(sharded, key, 12)
             sharded.model(key)
-            policy = RebalancePolicy(RebalanceConfig(min_workers=1))
-            outcome = sharded.rebalance(policy)
+            outcome = sharded.rebalance(RebalancePolicy())
             assert outcome.shrank_to == 1
             assert sharded.workers == 1
             assert sharded.model(key) is not None
@@ -686,7 +671,7 @@ class TestRebalancePolicyUnit:
         assert plan.is_noop and plan.reason == "balanced"
 
     def test_hot_shard_sheds_its_hottest_template(self):
-        from repro.serving import RebalancePolicy
+        from repro.serving import RebalanceConfig, RebalancePolicy
 
         policy = RebalancePolicy()
         plan = policy.plan(
@@ -697,6 +682,33 @@ class TestRebalancePolicyUnit:
             ],
         )
         assert [move.describe() for move in plan.moves] == ["a: shard 0 -> 1"]
+
+        # A three-shard skew, planned under the default settings and
+        # under the ones bench_rebalance.py runs (hot 1.05, cold 0.95,
+        # budget 4): the tighter band spends a second move, then the
+        # "would not improve" guard stops the greedy pass.
+        shards = [
+            self.shard_row(0, ["a", "b", "c", "d"]),
+            self.shard_row(1, []),
+            self.shard_row(2, ["e"]),
+        ]
+        templates = [
+            self.template_row("a", 0, fits=4),
+            self.template_row("b", 0, fits=3),
+            self.template_row("c", 0, fits=2),
+            self.template_row("d", 0, fits=1),
+            self.template_row("e", 2, fits=1),
+        ]
+        for config, expected in (
+            (RebalanceConfig(), ["a: shard 0 -> 1"]),
+            (
+                RebalanceConfig(hot_factor=1.05, cold_factor=0.95, max_moves=4),
+                ["a: shard 0 -> 1", "b: shard 0 -> 2"],
+            ),
+        ):
+            plan = RebalancePolicy(config).plan(shards, templates)
+            assert [move.describe() for move in plan.moves] == expected
+            assert plan.shrink_to is None
 
     def test_a_lone_template_is_never_moved(self):
         from repro.serving import RebalancePolicy
@@ -736,12 +748,8 @@ class TestRebalancePolicyUnit:
             RebalanceConfig(hot_factor=0.5)
         with pytest.raises(ValidationError, match="cold_factor"):
             RebalanceConfig(cold_factor=1.5)
-        with pytest.raises(ValidationError, match="max_workers"):
-            RebalanceConfig(min_workers=3, max_workers=2)
-        with pytest.raises(ValidationError, match="smoothing"):
-            RebalanceConfig(smoothing=0.0)
-        with pytest.raises(ValidationError, match="cadence"):
-            RebalanceConfig(cadence_flushes=0)
+        with pytest.raises(ValidationError, match="max_moves"):
+            RebalanceConfig(max_moves=-1)
 
 
 class TestTopologyReportEnvelope:
@@ -796,29 +804,97 @@ class TestTopologyReportEnvelope:
         with pytest.raises(GatewayConfigError, match="RebalanceConfig"):
             FederationConfig(serving_backend="sharded", rebalance={"max_moves": 1})
 
-    def test_auto_rebalance_runs_on_the_flush_cadence(self):
-        from repro.common.rng import RngStream
+    @staticmethod
+    def _observe_and_drain(gateway, rng, key="medical-demographics"):
         from repro.federation import ObserveRequest
         from repro.midas import MEDICAL_QUERIES
+
+        gateway.ingest(ObserveRequest(key, MEDICAL_QUERIES[key].sample_params(rng)))
+        gateway.drain()
+
+    @staticmethod
+    def _count_cycles(monkeypatch, gateway):
+        """Wrap the serving layer's ``rebalance`` to count control cycles."""
+        serving = gateway.engine.serving
+        original = serving.rebalance
+        calls = []
+
+        def counted(policy):
+            calls.append(policy)
+            return original(policy)
+
+        monkeypatch.setattr(serving, "rebalance", counted)
+        return calls
+
+    def test_auto_rebalance_runs_on_the_flush_cadence(self, monkeypatch):
+        from repro.common.rng import RngStream
         from repro.serving import RebalanceConfig
 
-        midas = self._midas(rebalance=RebalanceConfig(cadence_flushes=2))
+        midas = self._midas(rebalance=RebalanceConfig())
         gateway = midas.gateway
         try:
             rng = RngStream(27, "cadence")
-            key = "medical-demographics"
-
-            def observe():
-                gateway.ingest(
-                    ObserveRequest(key, MEDICAL_QUERIES[key].sample_params(rng))
-                )
-                gateway.drain()
-
-            observe()  # flush 1 of 2: below the cadence, no cycle yet
+            cycles = self._count_cycles(monkeypatch, gateway)
             assert gateway.topology_report().last_cycle is None
-            observe()  # flush 2 of 2: one control cycle runs
+            self._observe_and_drain(gateway, rng)  # every flush runs one cycle
             report = gateway.topology_report()
+            assert len(cycles) == 1
             assert report.last_cycle is not None
             assert report.last_cycle.route_version == report.route_version
+            self._observe_and_drain(gateway, rng)
+            assert len(cycles) == 2
+            # One policy for the gateway's lifetime: heat carries over.
+            assert cycles[0] is cycles[1]
+        finally:
+            gateway.close()
+
+    def test_explicit_rebalance_does_not_start_automatic_cycles(self, monkeypatch):
+        from repro.common.rng import RngStream
+
+        midas = self._midas()  # rebalance=None: placement stays static
+        gateway = midas.gateway
+        try:
+            rng = RngStream(31, "explicit")
+            gateway.rebalance()
+            cycles = self._count_cycles(monkeypatch, gateway)
+            for _ in range(3):
+                self._observe_and_drain(gateway, rng)
+            assert cycles == []
+            # Explicit calls still share one policy, so heat carries
+            # from one call to the next.
+            policy = gateway._rebalance_policy
+            gateway.rebalance()
+            assert cycles == [policy]
+        finally:
+            gateway.close()
+
+    def test_each_cycle_appends_one_audit_record_and_sets_last_cycle(self):
+        from repro.common.rng import RngStream
+        from repro.governance import GovernanceConfig
+        from repro.serving import RebalanceConfig
+
+        midas = self._midas(
+            rebalance=RebalanceConfig(), governance=GovernanceConfig()
+        )
+        gateway = midas.gateway
+        try:
+            rng = RngStream(37, "audit")
+            self._observe_and_drain(gateway, rng)  # the flush-cadence cycle
+            audit = gateway.audit_report()
+            assert audit.rebalances == 1
+            kinds = [record.kind for record in audit.records]
+            # The cycle's record lands after the flush that triggered it.
+            assert kinds[-2:] == ["batch_flush", "rebalance"]
+            flush_cycle = gateway.topology_report().last_cycle
+            assert flush_cycle is not None
+            assert audit.records[-1].detail == flush_cycle.describe()
+
+            report = gateway.rebalance()  # the explicit cycle
+            audit = gateway.audit_report()
+            assert audit.rebalances == 2
+            assert audit.records[-1].kind == "rebalance"
+            assert report.last_cycle is not None
+            assert report.last_cycle is not flush_cycle
+            assert audit.records[-1].detail == report.last_cycle.describe()
         finally:
             gateway.close()
